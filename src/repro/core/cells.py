@@ -33,15 +33,15 @@ Execution engine
 The scan doubles as the *scheduler* of the execution engine
 (:mod:`repro.engine`): the ``(leaf, weight)`` probes of one priority level
 are mutually independent, so they are materialised as self-contained
-:class:`~repro.engine.tasks.LeafTask` units and handed to a pluggable
-executor.  With the default serial executor the tasks run against
-long-lived in-process processors — byte-for-byte the pre-engine scan.  With
-a :class:`~repro.engine.executors.ProcessPoolExecutor` the tasks carry a
-snapshot of their leaf's reusable state (probe-panel history, pairwise
-verdicts, frontier) into worker processes, and the results — cells, new
-witnesses, frontier entries, worker-local
-:class:`~repro.stats.CostCounters` — are merged back **in task order**, so
-parallel runs reproduce the serial results and cost reports exactly.
+:class:`~repro.engine.tasks.LeafTask` units and handed to an executor — the
+in-process :class:`~repro.engine.executors.SerialExecutor` by default, or a
+:class:`~repro.engine.executors.ProcessPoolExecutor`.  Every task carries a
+snapshot of its leaf's reusable state (probe-panel history, pairwise
+verdicts, planar arrangement, frontier), and the results — cells, new
+witnesses, frontier entries, task-local
+:class:`~repro.stats.CostCounters` — are merged back **in task order**.
+Serial and pooled runs therefore take the same code path and reproduce the
+same results and cost reports exactly.
 """
 
 from __future__ import annotations
@@ -52,16 +52,19 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 import numpy as np
 
 from ..engine.deadline import Deadline
-from ..engine.executors import LeafTaskExecutor
+from ..engine.executors import LeafTaskExecutor, SerialExecutor
 from ..engine.tasks import LeafTask, LeafTaskResult
 from ..geometry.halfspace import Halfspace, reduced_space_constraints
 from ..geometry.polytope import ConvexPolytope
 from ..quadtree.quadtree import AugmentedQuadTree, QuadTreeNode
-from ..quadtree.withinleaf import LeafCell, LeafReuseState, WithinLeafProcessor
+from ..quadtree.withinleaf import LeafCell, LeafReuseState
 from ..stats import CostCounters
 from .result import MaxRankRegion
 
 __all__ = ["CellRecord", "collect_cells", "region_for_cell"]
+
+#: The executor of ``executor=None`` scans (stateless, so one is shared).
+_SERIAL = SerialExecutor()
 
 
 @dataclass(frozen=True)
@@ -94,21 +97,19 @@ class CellRecord:
 class _LeafScanState:
     """Per-leaf scan state: memoised per-weight results plus reusable seeds.
 
-    In **inline** mode (serial executor) the state owns a long-lived
-    :class:`WithinLeafProcessor`, exactly as the pre-engine scan did.  In
-    **task** mode (process pool) it instead mirrors the state a long-lived
-    processor would hold — probe-panel history, pairwise verdicts, frontier
-    entries — assembled from task-result deltas; :meth:`make_task`
-    snapshots the mirror into the next self-contained
-    :class:`~repro.engine.tasks.LeafTask` so the rebuilt worker-side
-    processor is indistinguishable from the live one.
+    The state mirrors what a long-lived
+    :class:`~repro.quadtree.withinleaf.WithinLeafProcessor` of the
+    leaf would hold — probe-panel history, pairwise verdicts, planar
+    arrangement, frontier entries — assembled from task-result deltas;
+    :meth:`make_task` snapshots the mirror into the next self-contained
+    :class:`~repro.engine.tasks.LeafTask` so the processor the task rebuilds
+    is indistinguishable from a live one.
     """
 
     __slots__ = (
         "partial_len",
         "seq",
         "weight_cells",
-        "processor",
         "lower",
         "upper",
         "partial_pairs",
@@ -134,29 +135,12 @@ class _LeafScanState:
         seed_probes: Optional[List[np.ndarray]],
         seed_state: Optional[LeafReuseState],
         track_frontier: bool,
-        inline: bool,
-        counters: Optional[CostCounters],
         deadline: Optional[Deadline] = None,
     ) -> None:
         self.partial_len = len(partial_pairs)
         self.seq = leaf.seq
         self.weight_cells: Dict[int, List[LeafCell]] = {}
         self.deadline = deadline
-        if inline:
-            self.processor: Optional[WithinLeafProcessor] = WithinLeafProcessor(
-                leaf.lower,
-                leaf.upper,
-                partial_pairs,
-                use_pairwise=use_pairwise,
-                counters=counters,
-                seed_probes=seed_probes,
-                seed_state=seed_state,
-                track_frontier=track_frontier,
-                use_planar=use_planar,
-                deadline=deadline,
-            )
-            return
-        self.processor = None
         self.lower = leaf.lower
         self.upper = leaf.upper
         self.partial_pairs = partial_pairs
@@ -176,13 +160,6 @@ class _LeafScanState:
         #: first task that built (or extended) it
         self.planar = None
         self.frontier: Dict[int, Optional[Tuple[Tuple[int, ...], ...]]] = {}
-
-    # ------------------------------------------------------------ execution
-    def cells_at_inline(self, weight: int) -> List[LeafCell]:
-        """Memoised within-leaf enumeration against the live processor."""
-        if weight not in self.weight_cells:
-            self.weight_cells[weight] = self.processor.cells_at_weight(weight)
-        return self.weight_cells[weight]
 
     def make_task(self, leaf_key: int, weight: int, trace=None) -> LeafTask:
         """Snapshot the mirror into a self-contained task for ``weight``."""
@@ -240,16 +217,11 @@ class _LeafScanState:
             for cells in self.weight_cells.values()
             for cell in cells
         ]
-        if self.processor is not None:
-            points.extend(self.processor.witness_probes())
-        else:
-            points.extend(self.witnesses)
+        points.extend(self.witnesses)
         return points
 
     def reuse_state(self) -> LeafReuseState:
         """The leaf's reusable state (pairwise verdicts + frontier)."""
-        if self.processor is not None:
-            return self.processor.reuse_state()
         return LeafReuseState(
             partial_ids=tuple(hid for hid, _ in self.partial_pairs),
             pairwise=self.pairwise,
@@ -297,9 +269,11 @@ def collect_cells(
     executor:
         Optional :class:`~repro.engine.executors.LeafTaskExecutor`.  The
         independent ``(leaf, weight)`` probes of each priority level run
-        through it; ``None`` (or any ``inline`` executor) selects the
-        in-process serial path.  All executors produce bit-identical
-        results and counters — only wall-clock differs.
+        through it as :class:`~repro.engine.tasks.LeafTask` units; ``None``
+        runs them in-process, like
+        :class:`~repro.engine.executors.SerialExecutor`.  All executors
+        produce bit-identical results and counters — only wall-clock
+        differs.
     use_planar:
         Enable the planar-arrangement sweep inside leaves of a
         2-dimensional reduced space (the ``d = 3`` fast path; see
@@ -313,7 +287,8 @@ def collect_cells(
         :class:`~repro.errors.QueryTimeoutError` carrying the partial
         counters.  ``None`` (the default) disables every checkpoint.
     """
-    inline = executor is None or executor.inline
+    if executor is None:
+        executor = _SERIAL
     # Tracing piggybacks on the counters object; off (None) costs one check.
     tracer = counters._tracer if counters is not None else None
     # Harvest witness and reuse-state seeds from cache entries the tree
@@ -330,11 +305,7 @@ def collect_cells(
         key = id(leaf)
         if cache is not None:
             entry = cache.get(key)
-            if (
-                entry is not None
-                and entry.partial_len == len(leaf.partial)
-                and (entry.processor is not None) == inline
-            ):
+            if entry is not None and entry.partial_len == len(leaf.partial):
                 return entry
         seed_probes, seed_state = seeds.get(key, (None, None))
         state = _LeafScanState(
@@ -345,8 +316,6 @@ def collect_cells(
             seed_probes=seed_probes,
             seed_state=seed_state,
             track_frontier=cache is not None,
-            inline=inline,
-            counters=counters,
             deadline=deadline,
         )
         if cache is not None:
@@ -387,54 +356,46 @@ def collect_cells(
                 touched += 1
             resolved.append((leaf, state, weight))
 
-        # One span per non-empty priority level; leaf-task spans (worker or
-        # inline) parent under it through the task's TraceContext.
+        # One span per non-empty priority level; leaf-task spans parent
+        # under it through the task's TraceContext.
         level_handle = None
         if tracer is not None and resolved:
             level_handle = tracer.begin("collect_level")
         try:
-            if not inline:
-                # Materialise every unresolved (leaf, weight) probe of this
-                # priority level as a self-contained task; the batch runs on
-                # the executor and the results merge back in task order.
-                task_trace = (
-                    tracer.context() if level_handle is not None else None
-                )
-                pending = [
-                    (index, state.make_task(id(leaf), weight, trace=task_trace))
-                    for index, (leaf, state, weight) in enumerate(resolved)
-                    if weight <= state.partial_len
-                    and weight not in state.weight_cells
-                ]
-                if pending:
-                    results = executor.run([task for _, task in pending])
-                    if len(results) != len(pending):
+            # Materialise every unresolved (leaf, weight) probe of this
+            # priority level as a self-contained task; the batch runs on the
+            # executor and the results merge back in task order.
+            task_trace = tracer.context() if level_handle is not None else None
+            pending = [
+                (index, state.make_task(id(leaf), weight, trace=task_trace))
+                for index, (leaf, state, weight) in enumerate(resolved)
+                if weight <= state.partial_len and weight not in state.weight_cells
+            ]
+            if pending:
+                results = executor.run([task for _, task in pending])
+                if len(results) != len(pending):
+                    raise RuntimeError(
+                        f"executor returned {len(results)} results "
+                        f"for {len(pending)} tasks"
+                    )
+                for (index, task), result in zip(pending, results):
+                    if result.leaf_key != task.leaf_key or result.weight != task.weight:
                         raise RuntimeError(
-                            f"executor returned {len(results)} results "
-                            f"for {len(pending)} tasks"
+                            "executor returned results out of task order"
                         )
-                    for (index, task), result in zip(pending, results):
-                        if result.leaf_key != task.leaf_key or result.weight != task.weight:
-                            raise RuntimeError(
-                                "executor returned results out of task order"
-                            )
-                        resolved[index][1].absorb(result)
-                        if counters is not None and result.counters is not None:
-                            counters.merge(result.counters)
+                    resolved[index][1].absorb(result)
                     if counters is not None:
-                        # Fold the executor's robustness events (worker
-                        # retries, serial degradations) into this query's
-                        # cost report.
-                        for name, value in executor.drain_events().items():
-                            setattr(counters, name, getattr(counters, name) + value)
+                        counters.merge(result.counters)
+                if counters is not None:
+                    # Fold the executor's robustness events (worker retries,
+                    # serial degradations) into this query's cost report.
+                    for name, value in executor.drain_events().items():
+                        setattr(counters, name, getattr(counters, name) + value)
 
             for leaf, state, weight in resolved:
                 if weight > state.partial_len:
                     continue
-                if inline:
-                    cells = state.cells_at_inline(weight)
-                else:
-                    cells = state.weight_cells[weight]
+                cells = state.weight_cells[weight]
                 if cells:
                     if best is None:
                         best = priority

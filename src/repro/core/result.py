@@ -136,8 +136,8 @@ class MaxRankResult:
         insert/delete can leave a cached answer byte-identical (see
         :meth:`repro.service.cache.QueryCache`).  ``None`` when the
         producing algorithm does not track provenance (BA, FCA, the
-        brute-force oracles, tau-monotone derivations); scope-less answers
-        are always conservatively invalidated.
+        brute-force oracles); scope-less answers are always conservatively
+        invalidated.
     """
 
     k_star: int

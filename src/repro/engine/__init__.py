@@ -6,15 +6,15 @@ quad-tree's competitive leaves — decomposes into independent, self-contained
 scheduler in :func:`repro.core.cells.collect_cells` batches the tasks of one
 priority level and hands them to an executor:
 
-* :class:`SerialExecutor` (default) — in-process, bit-identical to the
-  pre-engine scan;
+* :class:`SerialExecutor` (default) — the tasks run one after another in
+  the calling process;
 * :class:`ProcessPoolExecutor` — ``jobs`` worker processes, chunked
-  dispatch, deterministic result-merge order; results (cells, witness
-  probes, frontier entries) and :class:`~repro.stats.CostCounters` merge
-  back losslessly, so parallel runs reproduce the serial results and
-  funnel reports exactly;
-* :class:`InlineTaskExecutor` — the self-contained task path without
-  processes (testing / debugging).
+  dispatch, deterministic result-merge order.
+
+Both run the same tasks and merge the same results (cells, witness probes,
+frontier entries, task-local :class:`~repro.stats.CostCounters`) in task
+order, so parallel runs reproduce the serial results and funnel reports
+exactly.
 
 Thread an executor through the public API (``maxrank(..., jobs=4)`` or
 ``maxrank(..., executor=...)``), or force one globally with the
@@ -29,7 +29,6 @@ queries of a batch in parallel.
 
 from .deadline import Deadline
 from .executors import (
-    InlineTaskExecutor,
     LeafTaskExecutor,
     ProcessPoolExecutor,
     SerialExecutor,
@@ -46,7 +45,6 @@ __all__ = [
     "execute_task",
     "LeafTaskExecutor",
     "SerialExecutor",
-    "InlineTaskExecutor",
     "ProcessPoolExecutor",
     "make_executor",
     "resolve_executor",

@@ -15,11 +15,6 @@ Executor contract
   (:func:`~repro.engine.tasks.execute_leaf_task` for leaf tasks, the
   task's own ``run()`` for other work units such as the service layer's
   whole-query tasks).
-* ``inline`` tells the scheduler whether tasks execute in the calling
-  process against scheduler-owned state (``True`` — the scheduler then
-  keeps long-lived per-leaf processors and skips snapshot shipping) or in
-  isolation (``False`` — tasks must be self-contained and results carry
-  counter deltas).
 * ``close()`` releases any resources; calling ``run`` afterwards is an
   error for pooled executors.  ``close`` is idempotent and executors are
   context managers, so a pool is torn down even when ``run()`` raises.
@@ -27,17 +22,15 @@ Executor contract
   retries, serial degradations — accumulated since the last drain, for the
   caller to fold into its :class:`~repro.stats.CostCounters`.
 
-Three implementations:
+Two implementations, running the same self-contained tasks:
 
-* :class:`SerialExecutor` — the default; tasks run in the calling process
-  against live per-leaf processors, byte-for-byte the pre-engine scan.
-* :class:`InlineTaskExecutor` — runs the *self-contained* task path in the
-  calling process; no parallelism, but every snapshot/rebuild/merge code
-  path of the pool is exercised.  Used by the equivalence tests and useful
-  for debugging the pool path without processes.
+* :class:`SerialExecutor` — the default; tasks run one after another in
+  the calling process.
 * :class:`ProcessPoolExecutor` — ``jobs`` worker processes with chunked
-  dispatch; results come back in task order and worker counters are merged
-  by the scheduler, so funnel reports stay exact.
+  dispatch; results come back in task order.
+
+Either way every task returns its own counters and the scheduler merges
+them, so funnel reports stay exact.
 
 Fault tolerance
 ---------------
@@ -54,8 +47,7 @@ them too, so retrying would change semantics, not mask flakiness.
 
 ``REPRO_JOBS=N`` (N ≥ 2) in the environment forces a shared process pool on
 every query that does not pass an explicit executor — this is how CI runs
-the whole tier-1 suite through the pool.  ``REPRO_JOBS=task`` forces
-:class:`InlineTaskExecutor` instead.
+the whole tier-1 suite through the pool.
 """
 
 from __future__ import annotations
@@ -73,7 +65,6 @@ from .tasks import LeafTask, LeafTaskResult, execute_task
 __all__ = [
     "LeafTaskExecutor",
     "SerialExecutor",
-    "InlineTaskExecutor",
     "ProcessPoolExecutor",
     "make_executor",
     "resolve_executor",
@@ -92,9 +83,8 @@ _MAX_BACKOFF_S = 0.5
 class LeafTaskExecutor:
     """Base class fixing the executor contract (see module docstring)."""
 
-    #: True when tasks run in the calling process against scheduler-owned
-    #: state; False when tasks must be self-contained.
-    inline: bool = False
+    #: Worker processes the executor runs tasks on (1: the calling process).
+    jobs: int = 1
 
     def run(self, tasks: Sequence[LeafTask]) -> List[LeafTaskResult]:
         """Execute ``tasks`` and return their results in task order."""
@@ -116,32 +106,7 @@ class LeafTaskExecutor:
 
 
 class SerialExecutor(LeafTaskExecutor):
-    """Default in-process execution (bit-identical to the pre-engine scan).
-
-    The scheduler recognises ``inline`` executors and runs each task
-    against a long-lived per-leaf processor instead of snapshotting state
-    into the task — the exact pre-engine behaviour, with zero copy or
-    rebuild overhead.  ``run`` is still implemented (self-contained, via
-    :func:`execute_leaf_task`) so the serial executor honours the full
-    contract when driven directly, e.g. by tests.
-    """
-
-    inline = True
-
-    def run(self, tasks: Sequence[LeafTask]) -> List[LeafTaskResult]:
-        return [execute_task(task) for task in tasks]
-
-
-class InlineTaskExecutor(LeafTaskExecutor):
-    """Self-contained task execution in the calling process.
-
-    Exercises exactly the snapshot → rebuild → delta-merge machinery of the
-    process pool, minus the processes: useful to debug or test the
-    parallel path deterministically, and as a degenerate pool when only
-    one core is available.
-    """
-
-    inline = False
+    """Default execution: each task runs in the calling process, in order."""
 
     def run(self, tasks: Sequence[LeafTask]) -> List[LeafTaskResult]:
         return [execute_task(task) for task in tasks]
@@ -188,8 +153,6 @@ class ProcessPoolExecutor(LeafTaskExecutor):
         in-process (``True``, default) or raise
         :class:`~repro.errors.RetryExhaustedError` (``False``).
     """
-
-    inline = False
 
     def __init__(
         self,
@@ -396,14 +359,12 @@ def _executor_from_env() -> Optional[LeafTaskExecutor]:
     if not _env_checked:
         value = os.environ.get("REPRO_JOBS", "").strip().lower()
         executor: Optional[LeafTaskExecutor] = None
-        if value == "task":
-            executor = InlineTaskExecutor()
-        elif value:
+        if value:
             try:
                 jobs = int(value)
             except ValueError:
                 raise ValueError(
-                    f"REPRO_JOBS must be an integer or 'task', got {value!r}"
+                    f"REPRO_JOBS must be an integer, got {value!r}"
                 ) from None
             if jobs >= 2:
                 executor = ProcessPoolExecutor(jobs)

@@ -19,7 +19,7 @@ three properties, each pinned by tests:
 * the task ships the *entire* probe-panel history of its leaf
   (``seed_probes`` lists the inherited witnesses plus every LP witness found
   by lower-weight tasks, in discovery order), so the rebuilt panel matches
-  the panel a long-lived serial processor would have at that point;
+  the panel of one processor that had walked the leaf's lower weights;
 * the pairwise analysis is shipped verbatim (``pairwise``) once built, so
   no re-analysis — however deterministic — ever happens twice;
 * results carry the *deltas* (new witnesses, this weight's frontier entry)
@@ -110,12 +110,11 @@ class LeafTask:
         across the process boundary.
     trace:
         Optional :class:`~repro.obs.trace.TraceContext`.  When set, the
-        task times itself and records one span into its counters (worker
-        local or the scheduler's) with an id derived from the task's own
-        ``(seq, weight)`` identity — so spans merged back from any
-        schedule sort into the same canonical tree.  ``None`` (the
-        default, whenever tracing is off) costs a single ``is None``
-        check.
+        task times itself and records one span into its own counters with
+        an id derived from the task's own ``(seq, weight)`` identity — so
+        spans merged back from any schedule sort into the same canonical
+        tree.  ``None`` (the default, whenever tracing is off) costs a
+        single ``is None`` check.
     """
 
     leaf_key: int
@@ -161,8 +160,8 @@ class LeafTaskResult:
         task, or ``None`` when the task was handed one or the planar sweep
         is off.
     counters:
-        Worker-local cost counters covering exactly this task's work, or
-        ``None`` when the task ran against the scheduler's own counters.
+        Task-local cost counters covering exactly this task's work (the
+        scheduler merges them into the query's).
     """
 
     leaf_key: int
@@ -171,22 +170,17 @@ class LeafTaskResult:
     witnesses: List[np.ndarray]
     frontier: Dict[int, Optional[Tuple[Tuple[int, ...], ...]]]
     pairwise: Optional[PairwiseConstraints]
-    counters: Optional[CostCounters]
+    counters: CostCounters
     planar: Optional[PlanarArrangement] = None
 
 
-def execute_leaf_task(
-    task: LeafTask, counters: Optional[CostCounters] = None
-) -> LeafTaskResult:
+def execute_leaf_task(task: LeafTask) -> LeafTaskResult:
     """Run one leaf task to completion in the current process.
 
-    When ``counters`` is given (the in-process executors pass the
-    scheduler's), all cost accounting goes directly to it and the result's
-    ``counters`` field is ``None``; otherwise a fresh worker-local
-    :class:`CostCounters` is created and returned for the scheduler to
-    merge.
+    All cost accounting goes to a fresh task-local :class:`CostCounters`,
+    returned with the result for the scheduler to merge.
     """
-    own = CostCounters() if counters is None else counters
+    own = CostCounters()
     span_start = time.perf_counter() if task.trace is not None else 0.0
     if task.deadline is not None:
         # Entry checkpoint: a task that sat in a pool queue (or was stalled
@@ -225,7 +219,7 @@ def execute_leaf_task(
         witnesses=list(processor.witness_probes()),
         frontier=processor.frontier_entries(),
         pairwise=processor.pairwise_constraints if task.pairwise is None else None,
-        counters=own if counters is None else None,
+        counters=own,
         planar=processor.planar_arrangement if task.planar is None else None,
     )
 

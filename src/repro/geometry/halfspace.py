@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, List, Optional, Sequence
+from functools import lru_cache
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -241,16 +242,24 @@ def reduced_space_constraints(reduced_dim: int) -> List[Halfspace]:
     ``Σ_{i<d} q_i < 1`` (so that the eliminated weight ``q_d`` stays
     positive).  Each constraint is returned as a :class:`Halfspace` with
     ``record_id=None``.
+
+    The half-spaces are built once per dimensionality and shared (they are
+    immutable); the list itself is fresh, so callers may extend it.
     """
     if reduced_dim < 1:
         raise GeometryError("the reduced query space must have at least one dimension")
+    return list(_simplex_constraints(reduced_dim))
+
+
+@lru_cache(maxsize=None)
+def _simplex_constraints(reduced_dim: int) -> Tuple[Halfspace, ...]:
     constraints: List[Halfspace] = []
     for i in range(reduced_dim):
         axis = np.zeros(reduced_dim)
         axis[i] = 1.0
         constraints.append(Halfspace(axis, 0.0))
     constraints.append(Halfspace(-np.ones(reduced_dim), -1.0))
-    return constraints
+    return tuple(constraints)
 
 
 def reduce_query_vector(query: Sequence[float] | np.ndarray) -> np.ndarray:

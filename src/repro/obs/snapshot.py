@@ -30,8 +30,8 @@ SLOT_KEYS = (
 #: Per-shard service counters summed into the consolidated totals.
 SERVICE_KEYS = (
     "queries_served", "queries_computed", "batches_served",
-    "cache_hits", "cache_misses", "cache_monotone_hits",
-    "cache_evictions", "cache_entries", "query_timeouts",
+    "cache_hits", "cache_misses", "cache_evictions",
+    "cache_entries", "query_timeouts",
     "inserts", "deletes", "worker_retries", "degraded_batches",
 )
 

@@ -460,12 +460,13 @@ class AugmentedQuadTree:
         and a leaf splits exactly when its final partial set exceeds the
         threshold — neither depends on arrival order.
 
-        When ``executor`` is a pool executor and this is a cold build (the
-        root has never split), the descent is partitioned into independent
-        :class:`~repro.quadtree.build.SubtreeBuildTask` units after a short
-        frontier expansion and built by the workers; the merged tree is
-        node-for-node identical to the serial build (same sequence numbers,
-        same scan-index buckets — see :meth:`_renumber_and_refile`).
+        When ``executor`` has worker processes (``jobs > 1``) and this is a
+        cold build (the root has never split), the descent is partitioned
+        into independent :class:`~repro.quadtree.build.SubtreeBuildTask`
+        units after a short frontier expansion and built by the workers;
+        the merged tree is node-for-node identical to the serial build
+        (same sequence numbers, same scan-index buckets — see
+        :meth:`_renumber_and_refile`).
         """
         halfspaces = list(halfspaces)
         for halfspace in halfspaces:
@@ -504,7 +505,7 @@ class AugmentedQuadTree:
             return ids
         if (
             executor is not None
-            and not executor.inline
+            and executor.jobs > 1
             and root.children is None
             and not self._track_dirty
             and overlap_idx.size >= self.parallel_min_rows
@@ -572,8 +573,7 @@ class AugmentedQuadTree:
         root.partial.extend(overlap_ids.tolist())
         if not self._should_split(root):
             return
-        jobs = int(getattr(executor, "jobs", None) or 2)
-        target = max(8, 4 * jobs)
+        target = max(8, 4 * executor.jobs)
         frontier: List[Tuple[QuadTreeNode, int]] = [(root, root.full_count())]
         levels = 0
         while frontier and len(frontier) < target and levels < _FANOUT_LEVELS:

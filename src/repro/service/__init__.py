@@ -26,7 +26,7 @@ representative points and engine-invariant counters.  A thin CLI
 
 from .admission import AdmissionController
 from .batch import QueryTask
-from .cache import QueryCache, derive_lower_tau, query_key
+from .cache import QueryCache, query_key
 from .core import MaxRankService, result_fingerprint
 from .router import ConsistentHashRing, DatasetRouter
 from .transport import ThreadedLineServer
@@ -36,7 +36,6 @@ __all__ = [
     "QueryCache",
     "QueryTask",
     "query_key",
-    "derive_lower_tau",
     "result_fingerprint",
     "AdmissionController",
     "ConsistentHashRing",

@@ -6,24 +6,6 @@ the :class:`~repro.core.result.MaxRankResult` a previous computation
 produced.  Hits return the stored result object unchanged, so a cached
 answer is trivially bit-identical to the original computation.
 
-Tau-monotone reuse
-------------------
-iMaxRank answers are *monotone* in ``tau``: a ``tau = 4`` result reports
-every arrangement cell whose order is within 4 of the optimum — the
-``(k* + 4)``-skyband of cells — so the regions of any ``tau ≤ 4`` query on
-the same record are the order-filtered subset of that answer, with the same
-``k*`` and the same dominator count.  :meth:`QueryCache.get` exploits this
-when ``tau_monotone=True``: a miss at ``tau`` is served by filtering the
-tightest cached superset answer (smallest cached ``tau' > tau``).
-
-The derived answer is *canonically* identical to a fresh computation (same
-``k*``, same arrangement cells identified by ``(cell_order, outscored_by)``)
-but not necessarily *bit*-identical: the quad-tree fragments cells by leaf,
-and a ``tau = 4`` run may split leaves differently than a ``tau = 2`` run
-would.  That is why tau-monotone reuse is an opt-in policy on the service
-(``tau_policy="monotone"``) while the default (``"exact"``) only serves
-exact-key hits and preserves the service's bit-identity contract.
-
 Scoped mutation invalidation
 ----------------------------
 When the owning service inserts or deletes a record ``r``, a cached answer
@@ -47,14 +29,13 @@ data region that could affect it and skip the rest).  Three cases:
   every dataset-derived counter are byte-identical with or without ``r``.
 
 Answers without a provenance scope (``materialised_ids is None`` — BA, FCA,
-the oracles, tau-monotone derivations) take the full-flush fallback: any
-mutation evicts them.
+the oracles) take the full-flush fallback: any mutation evicts them.
 
 Thread safety
 -------------
 Every public entry point — lookups, insertions, the mutation-invalidation
 sweeps and the length/containment probes — serialises on one internal
-:class:`threading.RLock`, so the LRU order, the bounded size and the
+:class:`threading.Lock`, so the LRU order, the bounded size and the
 hit/miss/eviction tallies stay exact under concurrent callers (an unlocked
 ``OrderedDict`` corrupts under racing ``move_to_end``/``popitem``).  The
 lock is held only for dict bookkeeping, never while computing a result, so
@@ -71,9 +52,8 @@ import numpy as np
 
 from ..core.result import MaxRankRegion, MaxRankResult
 from ..errors import AlgorithmError
-from ..stats import CostCounters
 
-__all__ = ["QueryCache", "query_key", "derive_lower_tau"]
+__all__ = ["QueryCache", "query_key"]
 
 #: Cache key: (focal identity, tau, algorithm, engine, frozen options).
 CacheKey = Tuple[Hashable, int, str, str, Tuple[Tuple[str, Hashable], ...]]
@@ -114,35 +94,6 @@ def query_key(
             value = tuple(np.asarray(value).ravel().tolist())
         frozen.append((name, value))
     return (_focal_identity(focal), int(tau), algorithm, engine, tuple(frozen))
-
-
-def derive_lower_tau(result: MaxRankResult, tau: int) -> MaxRankResult:
-    """Derive the ``tau``-answer from a cached answer with a larger slack.
-
-    Keeps every region whose order is within ``tau`` of ``k*`` — the
-    definition of the iMaxRank answer (paper, Definition 2) applied to the
-    superset the cached result already materialised.  ``k*``, the dominator
-    count and the minimum cell order are unchanged by construction.  The
-    derived result carries fresh counters (the CPU was spent by the cached
-    computation, not this call).
-    """
-    if tau > result.tau:
-        raise AlgorithmError(
-            f"cannot derive tau={tau} from a cached tau={result.tau} answer; "
-            f"monotone reuse only narrows the slack"
-        )
-    regions = [region for region in result.regions if region.order <= result.k_star + tau]
-    return MaxRankResult(
-        k_star=result.k_star,
-        regions=regions,
-        dominator_count=result.dominator_count,
-        minimum_cell_order=result.minimum_cell_order,
-        tau=tau,
-        algorithm=result.algorithm,
-        counters=CostCounters(),
-        cpu_seconds=0.0,
-        focal=result.focal,
-    )
 
 
 def _mutation_leaves_result_intact(
@@ -224,7 +175,7 @@ def _shift_ids_after_delete(result: MaxRankResult, removed_id: int) -> MaxRankRe
 
 
 class QueryCache:
-    """Bounded LRU cache of MaxRank results with optional tau-monotone reuse.
+    """Bounded LRU cache of MaxRank results.
 
     Parameters
     ----------
@@ -237,13 +188,10 @@ class QueryCache:
         if maxsize < 0:
             raise AlgorithmError(f"cache maxsize must be >= 0, got {maxsize}")
         self.maxsize = int(maxsize)
-        #: Reentrant so ``get`` may call ``put`` (tau-monotone derivation)
-        #: without self-deadlocking.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._entries: "OrderedDict[CacheKey, MaxRankResult]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.monotone_hits = 0
         self.evictions = 0
         #: entries evicted / kept by scoped mutation invalidation
         self.invalidated = 0
@@ -257,40 +205,14 @@ class QueryCache:
         with self._lock:
             return key in self._entries
 
-    def get(self, key: CacheKey, *, tau_monotone: bool = False) -> Optional[MaxRankResult]:
-        """Look up a result; ``None`` on a miss.
-
-        With ``tau_monotone=True`` a miss falls back to the tightest cached
-        answer of the same query at a larger ``tau`` and derives the
-        requested answer from it (see :func:`derive_lower_tau`); the derived
-        answer is also inserted so subsequent identical queries hit exactly.
-        """
+    def get(self, key: CacheKey) -> Optional[MaxRankResult]:
+        """Look up a result; ``None`` on a miss."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 return entry
-            if tau_monotone:
-                focal_id, tau, algorithm, engine, options = key
-                best: Optional[CacheKey] = None
-                for candidate in self._entries:
-                    if (
-                        candidate[0] == focal_id
-                        and candidate[2] == algorithm
-                        and candidate[3] == engine
-                        and candidate[4] == options
-                        and candidate[1] > tau
-                        and (best is None or candidate[1] < best[1])
-                    ):
-                        best = candidate
-                if best is not None:
-                    derived = derive_lower_tau(self._entries[best], tau)
-                    self._entries.move_to_end(best)
-                    self.hits += 1
-                    self.monotone_hits += 1
-                    self.put(key, derived)
-                    return derived
             self.misses += 1
             return None
 

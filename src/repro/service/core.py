@@ -30,10 +30,7 @@ Every answer the service computes or serves from an exact cache hit is
 parameters: same ``k*``, same regions (including representative-point
 bytes), same engine-invariant cost counters.  Service-layer counters
 (``cache_hits``, ``cache_misses``, ``skyline_reused``) are additional keys,
-zero in standalone runs.  The one deliberate exception is the opt-in
-``tau_policy="monotone"`` derivation, which guarantees canonical identity
-(same ``k*``, same arrangement cells) but may fragment regions differently
-— see :mod:`repro.service.cache`.
+zero in standalone runs.
 """
 
 from __future__ import annotations
@@ -66,10 +63,6 @@ __all__ = ["MaxRankService", "result_fingerprint"]
 logger = get_logger("repro.service")
 
 Focal = Union[int, Sequence[float], np.ndarray]
-
-#: Valid tau reuse policies of the result cache.
-TAU_POLICIES = ("exact", "monotone")
-
 
 def result_fingerprint(result: MaxRankResult):
     """Bit-exact identity of a result: ``k*`` plus every region's order,
@@ -176,11 +169,6 @@ class MaxRankService:
         :func:`repro.maxrank` values.
     cache_size:
         LRU result-cache capacity (``0`` disables result caching).
-    tau_policy:
-        ``"exact"`` (default) — only exact-key cache hits, preserving the
-        bit-identity contract.  ``"monotone"`` — additionally derive
-        lower-``tau`` answers from cached superset answers (canonical
-        identity only; see :mod:`repro.service.cache`).
     name:
         Optional service label (defaults to the dataset name).
 
@@ -208,17 +196,11 @@ class MaxRankService:
         algorithm: str = "auto",
         engine: str = "auto",
         cache_size: int = 256,
-        tau_policy: str = "exact",
         name: Optional[str] = None,
     ) -> None:
-        if tau_policy not in TAU_POLICIES:
-            raise AlgorithmError(
-                f"unknown tau_policy {tau_policy!r}; choose one of {TAU_POLICIES}"
-            )
         self.dataset = dataset
         self.algorithm = algorithm
         self.engine = engine
-        self.tau_policy = tau_policy
         self.name = name or dataset.name
         build_start = time.perf_counter()
         self.tree = tree if tree is not None else RStarTree.build(dataset.records)
@@ -470,9 +452,7 @@ class MaxRankService:
                 with self._mutex:
                     self.queries_served += 1
                     if use_cache:
-                        cached = self.cache.get(
-                            key, tau_monotone=self.tau_policy == "monotone"
-                        )
+                        cached = self.cache.get(key)
                         if cached is not None:
                             self.counters.cache_hits += 1
                             cache_hit = True
@@ -582,13 +562,7 @@ class MaxRankService:
                 for focal, key in zip(focals, keys):
                     if key in results or key in pending_keys:
                         continue
-                    cached = (
-                        self.cache.get(
-                            key, tau_monotone=self.tau_policy == "monotone"
-                        )
-                        if use_cache
-                        else None
-                    )
+                    cached = self.cache.get(key) if use_cache else None
                     if cached is not None:
                         self.counters.cache_hits += 1
                         results[key] = cached
@@ -809,7 +783,6 @@ class MaxRankService:
             "batches_served": self.batches_served,
             "cache_hits": self.counters.cache_hits,
             "cache_misses": self.counters.cache_misses,
-            "cache_monotone_hits": self.cache.monotone_hits,
             "cache_evictions": self.cache.evictions,
             "cache_entries": len(self.cache),
             "inserts": self.inserts,

@@ -200,6 +200,10 @@ class ThreadedLineServer:
                 conn.close()
             except OSError:
                 pass
+            # Leave the drain list: it holds only live connections, so a
+            # long-running server does not grow it by one per connection.
+            with self._lock:
+                self._threads.remove(threading.current_thread())
 
     def _handle_line(self, conn: socket.socket, raw: bytes) -> Tuple[bool, str]:
         """Handle one request line; returns (keep-connection-open, reason)."""

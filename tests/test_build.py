@@ -18,7 +18,11 @@ import pytest
 
 from repro import CostCounters, generate, maxrank
 from repro.core.aa import aa_maxrank
-from repro.engine.executors import make_executor
+from repro.engine.executors import (
+    ProcessPoolExecutor,
+    SerialExecutor,
+    make_executor,
+)
 from repro.experiments.reporting import construction_summary
 from repro.geometry import Halfspace
 from repro.quadtree import AugmentedQuadTree
@@ -112,6 +116,13 @@ class TestParallelBuildIdentity:
         finally:
             executor.close()
         # 40 rows < PARALLEL_MIN_ROWS: the build must not pay pool overhead.
+        assert counters.build_tasks == 0
+
+    @pytest.mark.parametrize("executor", [SerialExecutor(), ProcessPoolExecutor(1)])
+    def test_single_worker_executors_build_serially(self, executor):
+        counters = CostCounters()
+        build_tree(random_halfspaces(300, 3, seed=17), executor=executor,
+                   counters=counters)
         assert counters.build_tasks == 0
 
     def test_end_to_end_aa_parallel_build_matches_serial(self, monkeypatch):

@@ -1,8 +1,8 @@
 """Execution-engine tests: executor equivalence, picklability, counter merging.
 
-The engine's contract is that every executor — the in-process serial path,
-the self-contained task path, and the process pool — produces *bit-identical*
-results and cost counters for the same query.  These tests pin that contract
+The engine's contract is that every executor — the in-process serial
+default and the process pool — produces *bit-identical* results and cost
+counters for the same query.  These tests pin that contract
 on small fig8/fig9-style workloads (including the AA re-scan machinery, which
 round-trips reuse state through task snapshots), check that every object a
 task ships across a process boundary pickles faithfully, and cover the
@@ -21,7 +21,6 @@ from repro.core.aa import aa_maxrank
 from repro.errors import AlgorithmError
 from repro.core.ba import ba_maxrank
 from repro.engine import (
-    InlineTaskExecutor,
     LeafTask,
     ProcessPoolExecutor,
     SerialExecutor,
@@ -68,7 +67,7 @@ def _run(algorithm, dataset, focal, executor, tau=0, **options):
 
 
 class TestExecutorEquivalence:
-    """Serial, task-path and pool runs must be indistinguishable."""
+    """Serial and pool runs must be indistinguishable."""
 
     # (algorithm, distribution, n, d, focal, tau) — small cuts of the
     # fig8 (cardinality) and fig9 (dimensionality) benchmark workloads.
@@ -81,17 +80,11 @@ class TestExecutorEquivalence:
     ]
 
     @pytest.mark.parametrize("algorithm,dist,n,d,focal,tau", CASES)
-    def test_task_path_matches_serial(self, algorithm, dist, n, d, focal, tau):
+    def test_process_pool_matches_default(self, algorithm, dist, n, d, focal, tau):
         dataset = generate(dist, n, d, seed=0)
         serial = _run(algorithm, dataset, focal, None, tau=tau)
-        task = _run(algorithm, dataset, focal, InlineTaskExecutor(), tau=tau)
-        assert task == serial
-
-    def test_process_pool_matches_serial(self):
-        dataset = generate("IND", 300, 4, seed=0)
-        serial = _run("aa", dataset, 7, None)
         with ProcessPoolExecutor(2) as pool:
-            parallel = _run("aa", dataset, 7, pool)
+            parallel = _run(algorithm, dataset, focal, pool, tau=tau)
         assert parallel == serial
 
     def test_process_pool_matches_serial_on_rescan_heavy_workload(self):
@@ -144,8 +137,8 @@ class TestPlanarEngineExecutors:
 
     These are the engine-level counterparts of ``tests/test_differential.py``:
     the planar path ships a :class:`PlanarArrangement` inside its leaf tasks,
-    so the serial, self-contained-task and process-pool runs must produce
-    identical results *and* identical merged counter dicts — including the
+    so the serial and process-pool runs must produce identical results
+    *and* identical merged counter dicts — including the
     planar-specific ``lines_inserted`` / ``faces_enumerated`` tallies, which
     are charged exactly once per arrangement build wherever the build runs.
     """
@@ -160,13 +153,12 @@ class TestPlanarEngineExecutors:
     ]
 
     @pytest.mark.parametrize("dist,n,focal,tau", CASES)
-    def test_task_path_matches_serial(self, dist, n, focal, tau):
+    def test_process_pool_matches_default(self, dist, n, focal, tau):
         dataset = generate(dist, n, 3, seed=0)
         serial = _run("aa", dataset, focal, None, tau=tau, use_planar=True)
-        task = _run(
-            "aa", dataset, focal, InlineTaskExecutor(), tau=tau, use_planar=True
-        )
-        assert task == serial
+        with ProcessPoolExecutor(2) as pool:
+            parallel = _run("aa", dataset, focal, pool, tau=tau, use_planar=True)
+        assert parallel == serial
 
     def test_process_pool_matches_serial(self):
         dataset = generate("IND", 250, 3, seed=1)
@@ -418,13 +410,15 @@ class TestCostCountersMerge:
         assert clone.lp_calls == counters.lp_calls + 1
 
     def test_worker_counter_deltas_cover_all_within_leaf_work(self):
-        """A task run with its own counters reports the same totals as one
+        """A task's own counters report the same totals as the processor
         run against a shared bundle — nothing is counted process-locally."""
         task = _sample_task()
         isolated = execute_leaf_task(task)
         shared = CostCounters()
-        execute_leaf_task(task, counters=shared)
-        assert isolated.counters is not None
+        WithinLeafProcessor(
+            task.lower, task.upper, task.partial,
+            counters=shared, track_frontier=task.track_frontier,
+        ).cells_at_weight(task.weight)
         assert isolated.counters.as_dict() == shared.as_dict()
         assert shared.lp_constraint_rows > 0 or shared.lp_calls == 0
 
@@ -433,33 +427,35 @@ class TestEnvironmentOverride:
     def test_resolve_prefers_explicit_executor(self):
         from repro.engine import resolve_executor
 
-        explicit = InlineTaskExecutor()
+        explicit = SerialExecutor()
         assert resolve_executor(explicit) is explicit
 
     def test_env_forced_pool(self, monkeypatch):
-        """REPRO_JOBS=task forces the self-contained path on plain queries."""
+        """REPRO_JOBS=2 forces a process pool on plain queries."""
         from repro.engine import executors
 
         monkeypatch.setattr(executors, "_env_checked", False)
         monkeypatch.setattr(executors, "_env_executor", None)
-        monkeypatch.setenv("REPRO_JOBS", "task")
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        forced = executors.resolve_executor(None)
         try:
-            forced = executors.resolve_executor(None)
-            assert isinstance(forced, InlineTaskExecutor)
+            assert isinstance(forced, ProcessPoolExecutor) and forced.jobs == 2
             dataset = generate("IND", 120, 4, seed=5)
             serial = _run("aa", dataset, 3, SerialExecutor())
             routed = _run("aa", dataset, 3, None)  # picks up the env executor
             assert routed == serial
         finally:
+            forced.close()
             monkeypatch.setattr(executors, "_env_checked", False)
             monkeypatch.setattr(executors, "_env_executor", None)
 
-    def test_env_rejects_garbage(self, monkeypatch):
+    @pytest.mark.parametrize("value", ["many", "task"])
+    def test_env_rejects_garbage(self, monkeypatch, value):
         from repro.engine import executors
 
         monkeypatch.setattr(executors, "_env_checked", False)
         monkeypatch.setattr(executors, "_env_executor", None)
-        monkeypatch.setenv("REPRO_JOBS", "many")
+        monkeypatch.setenv("REPRO_JOBS", value)
         with pytest.raises(ValueError):
             executors.resolve_executor(None)
         monkeypatch.setattr(executors, "_env_checked", False)

@@ -41,7 +41,7 @@ import numpy as np
 import pytest
 
 from repro import CostCounters, Dataset, MaxRankService, generate, maxrank
-from repro.engine import Deadline, InlineTaskExecutor, ProcessPoolExecutor
+from repro.engine import Deadline, ProcessPoolExecutor, SerialExecutor
 from repro.errors import (
     AlgorithmError,
     InvalidRecordError,
@@ -158,7 +158,7 @@ class TestDeadlineExpiry:
                 maxrank(
                     dataset, 7, tau=1,
                     counters=counters,
-                    executor=InlineTaskExecutor(),
+                    executor=SerialExecutor(),
                     deadline=Deadline.after(0.05),
                 )
         error = excinfo.value

@@ -130,6 +130,13 @@ class TestReducedSpace:
         with pytest.raises(GeometryError):
             reduced_space_constraints(0)
 
+    def test_constraints_are_shared_but_the_list_is_fresh(self):
+        first = reduced_space_constraints(3)
+        first.append(Halfspace([1.0, 0.0, 0.0], 0.5))  # callers may extend
+        second = reduced_space_constraints(3)
+        assert len(second) == 4
+        assert all(a is b for a, b in zip(first, second))
+
     @given(d=st.integers(2, 6), seed=st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
     def test_reduce_then_lift_round_trip(self, d, seed):

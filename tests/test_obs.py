@@ -30,6 +30,8 @@ from pathlib import Path
 import pytest
 
 from repro import CostCounters, generate, maxrank
+from repro.core.aa import aa_maxrank
+from repro.engine import ProcessPoolExecutor, SerialExecutor
 from repro.obs import (
     Counter,
     Gauge,
@@ -277,6 +279,28 @@ class TestTracedEngineRun:
                            if not k.startswith("time_")}
         assert strip(counters_a.as_dict()) == strip(counters_b.as_dict())
         assert result_a.k_star == result_b.k_star
+
+    def test_serial_and_pool_traces_have_the_same_spans(self):
+        """Both executors run the same leaf tasks, so a traced serial AA
+        query records the same span tree — ``leaf_task`` spans included —
+        as the same query on a process pool."""
+        dataset = generate("IND", 150, 4, seed=3)
+
+        def spans(executor):
+            tracer = Tracer(trace_id="fixed")
+            counters = CostCounters()
+            counters._tracer = tracer
+            with tracer.span("request"):
+                aa_maxrank(dataset, 5, counters=counters, executor=executor)
+            counters._tracer = None
+            tracer.absorb(counters.drain_spans())
+            return [(s["id"], s["name"]) for s in tracer.export()["spans"]]
+
+        serial = spans(SerialExecutor())
+        with ProcessPoolExecutor(2) as pool:
+            pooled = spans(pool)
+        assert any(name == "leaf_task" for _, name in serial)
+        assert serial == pooled
 
 
 # ---------------------------------------------------------------- logging

@@ -4,8 +4,8 @@ The service's headline contract is *bit-identity*: every answer it computes
 — cold, warm, cached, serial or on the whole-query process pool — must be
 byte-for-byte the answer a standalone ``maxrank()`` call produces, with the
 engine-invariant cost counters unchanged.  The matrix here pins that on
-seeded IND/ANTI × d ∈ {3, 4} × τ ∈ {1, 4} workloads, plus the cache,
-tau-monotone reuse, snapshot round-trips through the service and the CLI.
+seeded IND/ANTI × d ∈ {3, 4} × τ ∈ {1, 4} workloads, plus the cache and
+snapshot round-trips through the service and the CLI.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ import pytest
 from repro import CostCounters, MaxRankService, generate, maxrank
 from repro.errors import AlgorithmError, SnapshotError
 from repro.experiments.harness import select_focal_records
-from repro.service import QueryCache, QueryTask, derive_lower_tau, query_key
+from repro.service import QueryCache, QueryTask, query_key
 from repro.service.core import result_fingerprint
-from repro.topk.scoring import order_of
 
 #: Counters that must not depend on where/how a query executed (the same
 #: set the planar/generic differential harness pins, which is what makes
@@ -55,13 +54,6 @@ CASES = [
     ("ANTI", 4, 1, 90),
     ("ANTI", 4, 4, 90),
 ]
-
-
-def canonical_cells(result):
-    return {
-        (region.cell_order, tuple(sorted(region.outscored_by)))
-        for region in result.regions
-    }
 
 
 def invariant_dump(counters: CostCounters):
@@ -201,49 +193,14 @@ class TestQueryCache:
         with pytest.raises(AlgorithmError):
             QueryCache(maxsize=-1)
 
-
-class TestTauMonotone:
-    def test_monotone_reuse_is_canonically_correct(self):
-        dataset = generate("ANTI", 150, 3, seed=9)
-        focal = select_focal_records(dataset, 1, seed=1)[0]
-        reference = maxrank(dataset, int(focal), tau=2)
-        with MaxRankService(dataset, tau_policy="monotone") as service:
-            wide = service.query(focal, tau=4)
-            derived = service.query(focal, tau=2)     # derived from tau=4
-            assert service.cache.monotone_hits == 1
-            assert service.queries_computed == 1
-            assert derived.tau == 2
-            assert derived.k_star == reference.k_star
-            assert derived.dominator_count == reference.dominator_count
-            assert canonical_cells(derived) == canonical_cells(reference)
-            # Every derived region really attains its order (independent check).
-            for region in derived.regions:
-                query = region.representative_query()
-                assert order_of(dataset, dataset.records[int(focal)], query) == region.order
-            # The derivation narrowed the superset answer.
-            assert {id(r) for r in derived.regions} <= {id(r) for r in wide.regions}
-            # A repeat of the derived query is now an exact hit.
-            again = service.query(focal, tau=2)
-            assert again is derived
-
     def test_exact_policy_never_derives(self):
+        """A miss at a smaller ``tau`` is computed, never derived from a
+        cached answer at a larger one."""
         dataset = generate("IND", 150, 3, seed=9)
-        with MaxRankService(dataset) as service:   # tau_policy="exact"
+        with MaxRankService(dataset) as service:
             service.query(3, tau=4)
             service.query(3, tau=2)
-            assert service.cache.monotone_hits == 0
             assert service.queries_computed == 2
-
-    def test_derive_rejects_widening(self):
-        dataset = generate("IND", 100, 3, seed=1)
-        result = maxrank(dataset, 3, tau=1)
-        with pytest.raises(AlgorithmError, match="narrow"):
-            derive_lower_tau(result, 3)
-
-    def test_unknown_policy_rejected(self):
-        dataset = generate("IND", 50, 3, seed=1)
-        with pytest.raises(AlgorithmError, match="tau_policy"):
-            MaxRankService(dataset, tau_policy="sometimes")
 
 
 class TestServiceSnapshots:
@@ -524,19 +481,6 @@ class TestScopedInvalidation:
             assert service.cache.invalidated == 1
             assert service.cache.retained == 0
             assert len(service.cache) == 0
-
-    def test_monotone_derived_answers_are_flushed_with_their_scope(self):
-        """tau-monotone derivations carry no scope (fresh counters, no
-        provenance); the superset answer they came from keeps its own."""
-        dataset = generate("IND", 150, 3, seed=54)
-        with MaxRankService(dataset, tau_policy="monotone") as service:
-            service.query(9, tau=4)
-            derived = service.query(9, tau=1)   # derived from the tau=4 answer
-            assert derived.materialised_ids is None
-            assert len(service.cache) == 2
-            service.insert(dataset.records[9] * 0.5)  # in no answer's scope
-            assert service.cache.invalidated == 1     # only the derivation
-            assert service.cache.retained == 1
 
     def test_delete_remaps_retained_keys_and_ids(self):
         """Deleting row j shifts cached idx keys (and region labels) above j

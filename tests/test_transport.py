@@ -112,6 +112,22 @@ class TestThreadedLineServer:
         assert f2.readline() == b"PING\n"  # untouched by the other's quit
         sock1.close(), sock2.close()
 
+    def test_finished_connections_leave_the_thread_list(self, server):
+        for _ in range(50):
+            sock, f = _connect(server)
+            f.readline()
+            f.write(b"quit\n")
+            f.flush()
+            while f.readline():  # bye, farewell, then EOF
+                pass
+            sock.close()
+            # The connection thread drops itself just after closing.
+            deadline = time.monotonic() + 5.0
+            while server._threads and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert server._threads == []
+        assert server.connections_accepted == 50
+
     def test_shutdown_drains_open_connections(self):
         release = threading.Event()
 
