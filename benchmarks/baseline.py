@@ -37,15 +37,6 @@ Modes
     path — same results, same funnel counters — so ``--compare --jobs N``
     checks the parallel path against the committed *serial* baseline and
     must pass the same fingerprint and counter gates.
-``--engine planar|generic``
-    A/B switch for the ``d = 3`` configurations: force the planar-arrangement
-    sweep or the generic combinatorial generator (the default is the
-    auto-dispatch, i.e. planar at ``d = 3``).  Results are bit-identical, so
-    ``--compare --engine planar`` stays sound; ``--engine generic`` exists to
-    quantify what the sweep saves.  ANTI ``d = 3`` configurations are skipped
-    under ``--engine generic`` — the combinatorial enumeration is infeasible
-    there (hours instead of sub-second), which is precisely the blow-up the
-    planar engine removes.
 
 The matrix also carries a ``service/`` workload family: each configuration
 answers a 16-query batch (8 unique focal records, each asked twice) both
@@ -410,17 +401,11 @@ def calibrate(rounds: int = 1500, repeats: int = 3) -> float:
 def run_config(
     config: BenchConfig,
     jobs: Optional[int] = None,
-    engine: Optional[str] = None,
     extra_options: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """Execute one configuration and return its measurement record."""
     dataset = generate(config.distribution, config.n, config.d, seed=0)
     tree = RStarTree.build(dataset.records)
-    options: Dict[str, object] = dict(extra_options or {})
-    if config.d == 3:
-        # The engine switch only exists for the d = 3 quad-tree path; the
-        # default (None) is the facade's auto-dispatch, i.e. planar.
-        options["engine"] = engine or "auto"
     start = time.perf_counter()
     batch = run_batch(
         dataset,
@@ -431,7 +416,7 @@ def run_config(
         tree=tree,
         label=config.key,
         jobs=jobs,
-        **options,
+        **(extra_options or {}),
     )
     wall = time.perf_counter() - start
     measurements = batch.measurements
@@ -470,7 +455,6 @@ def run_config(
 def run_build_config(
     config: BuildBenchConfig,
     jobs: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> Dict[str, object]:
     """Execute one construction-focused configuration.
 
@@ -487,7 +471,6 @@ def run_build_config(
             BenchConfig(config.key, config.distribution, config.n, config.d,
                         queries=1, quick=config.quick),
             jobs=jobs,
-            engine=engine,
             extra_options={"split_policy": config.split_policy},
         )
 
@@ -545,7 +528,6 @@ def run_build_config(
 def run_service_config(
     config: ServiceBenchConfig,
     jobs: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> Dict[str, object]:
     """Measure the cold per-query path against the warm service batch.
 
@@ -559,15 +541,12 @@ def run_service_config(
     dataset = generate(config.distribution, config.n, config.d, seed=0)
     unique = select_focal_records(dataset, config.unique, seed=0)
     focals = [unique[i % len(unique)] for i in range(config.batch)]
-    options: Dict[str, object] = {}
-    if config.d == 3:
-        options["engine"] = engine or "auto"
 
     # Cold: per-query tree build + standalone query, one per unique focal.
     cold_results = {}
     cold_start = time.perf_counter()
     for focal in unique:
-        cold_results[focal] = maxrank(dataset, int(focal), tau=config.tau, **options)
+        cold_results[focal] = maxrank(dataset, int(focal), tau=config.tau)
     cold_wall = time.perf_counter() - cold_start
     cold_per_query = cold_wall / len(unique)
 
@@ -576,7 +555,7 @@ def run_service_config(
     try:
         warm_start = time.perf_counter()
         results = service.query_batch(
-            focals, tau=config.tau, jobs=jobs, **options
+            focals, tau=config.tau, jobs=jobs
         )
         warm_wall = time.perf_counter() - warm_start
         for focal, result in zip(focals, results):
@@ -627,7 +606,6 @@ def run_service_config(
 def run_update_config(
     config: UpdateBenchConfig,
     jobs: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> Dict[str, object]:
     """Measure the 80/20 query/mutate workload on one mutable service.
 
@@ -643,9 +621,6 @@ def run_update_config(
 
     dataset = generate(config.distribution, config.n, config.d, seed=0)
     unique = select_focal_records(dataset, config.unique, seed=0)
-    options: Dict[str, object] = {}
-    if config.d == 3:
-        options["engine"] = engine or "auto"
 
     rng = np.random.default_rng(0)
     service = MaxRankService(dataset)
@@ -663,7 +638,7 @@ def run_update_config(
                 mutations += 1
             else:
                 focal = unique[queries % len(unique)] % service.dataset.n
-                service.query(int(focal), tau=config.tau, jobs=jobs, **options)
+                service.query(int(focal), tau=config.tau, jobs=jobs)
                 queries += 1
         wall = time.perf_counter() - start
 
@@ -676,8 +651,8 @@ def run_update_config(
         try:
             results = []
             for focal in final_focals:
-                served = service.query(focal, tau=config.tau, **options)
-                reference = oracle.query(focal, tau=config.tau, **options)
+                served = service.query(focal, tau=config.tau)
+                reference = oracle.query(focal, tau=config.tau)
                 if result_fingerprint(served) != result_fingerprint(reference):
                     raise AssertionError(
                         f"{config.key}: mutated service answer for focal "
@@ -731,7 +706,6 @@ def run_update_config(
 def run_obs_config(
     config: ObsBenchConfig,
     jobs: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> Dict[str, object]:
     """Measure tracing overhead: the same queries untraced vs fully traced.
 
@@ -757,9 +731,6 @@ def run_obs_config(
     dataset = generate(config.distribution, config.n, config.d, seed=0)
     tree = RStarTree.build(dataset.records)
     focals = [int(f) for f in select_focal_records(dataset, config.queries, seed=0)]
-    options: Dict[str, object] = {}
-    if config.d == 3:
-        options["engine"] = engine or "auto"
 
     def one_pass(traced: bool):
         best = float("inf")
@@ -780,7 +751,7 @@ def run_obs_config(
                     counters._tracer = tracer
                     handle = tracer.begin("request")
                 result = maxrank(dataset, focal, tau=config.tau, tree=tree,
-                                 counters=counters, **options)
+                                 counters=counters)
                 if tracer is not None:
                     tracer.finish(handle)
                     counters._tracer = None
@@ -846,7 +817,6 @@ def run_obs_config(
 def run_serve_config(
     config: ServeBenchConfig,
     jobs: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> Dict[str, object]:
     """Measure the network front closed-loop: sockets, router, admission.
 
@@ -870,8 +840,6 @@ def run_serve_config(
     from repro.service.cli import (  # the real CLI backend, not a test double
         _answer_payload, _error_payload, _handle_request, _RouterBackend,
     )
-
-    del engine  # requests use the service's auto-dispatch; flag is a no-op here
 
     datasets = {
         "a": generate("IND", config.n, config.d, seed=0),
@@ -1037,7 +1005,6 @@ def run_serve_config(
 def run_matrix(
     quick: bool,
     jobs: Optional[int] = None,
-    engine: Optional[str] = None,
     family: str = "all",
 ) -> Dict[str, Dict[str, object]]:
     """Run the (possibly restricted) workload matrix.
@@ -1053,52 +1020,38 @@ def run_matrix(
         for config in CONFIGS:
             if quick and not config.quick:
                 continue
-            if engine == "generic" and config.d == 3 and config.distribution == "ANTI":
-                print(f"skipping {config.key}: the generic engine is infeasible on "
-                      f"anticorrelated d=3 leaves (use the planar engine)", flush=True)
-                continue
             print(f"running {config.key} ...", flush=True)
-            results[config.key] = run_config(config, jobs=jobs, engine=engine)
+            results[config.key] = run_config(config, jobs=jobs)
     if family in ("all", "build"):
         for build_config in BUILD_CONFIGS:
             if quick and not build_config.quick:
                 continue
             print(f"running {build_config.key} (construction) ...", flush=True)
-            results[build_config.key] = run_build_config(
-                build_config, jobs=jobs, engine=engine
-            )
+            results[build_config.key] = run_build_config(build_config, jobs=jobs)
     if family in ("all", "serve"):
         for serve_config in SERVE_CONFIGS:
             if quick and not serve_config.quick:
                 continue
             print(f"running {serve_config.key} (closed-loop load) ...", flush=True)
-            results[serve_config.key] = run_serve_config(
-                serve_config, jobs=jobs, engine=engine
-            )
+            results[serve_config.key] = run_serve_config(serve_config, jobs=jobs)
     if family in ("all", "obs"):
         for obs_config in OBS_CONFIGS:
             if quick and not obs_config.quick:
                 continue
             print(f"running {obs_config.key} (tracing overhead) ...", flush=True)
-            results[obs_config.key] = run_obs_config(
-                obs_config, jobs=jobs, engine=engine
-            )
+            results[obs_config.key] = run_obs_config(obs_config, jobs=jobs)
     if family != "all":
         return results
     for service_config in SERVICE_CONFIGS:
         if quick and not service_config.quick:
             continue
         print(f"running {service_config.key} (cold vs warm) ...", flush=True)
-        results[service_config.key] = run_service_config(
-            service_config, jobs=jobs, engine=engine
-        )
+        results[service_config.key] = run_service_config(service_config, jobs=jobs)
     for update_config in UPDATE_CONFIGS:
         if quick and not update_config.quick:
             continue
         print(f"running {update_config.key} (query/mutate) ...", flush=True)
-        results[update_config.key] = run_update_config(
-            update_config, jobs=jobs, engine=engine
-        )
+        results[update_config.key] = run_update_config(update_config, jobs=jobs)
     return results
 
 
@@ -1313,12 +1266,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="process-pool workers for the within-leaf execution "
                              "engine (results and counters stay bit-identical to "
                              "serial, so --compare remains sound)")
-    parser.add_argument("--engine", choices=("planar", "generic"), default=None,
-                        help="A/B switch for the d=3 configurations: force the "
-                             "planar sweep or the generic combinatorial generator "
-                             "(default: auto-dispatch, i.e. planar at d=3). "
-                             "Results are bit-identical; ANTI d=3 configs are "
-                             "skipped under 'generic' (infeasible)")
     parser.add_argument("--family", choices=("all", "build", "serve", "obs"),
                         default="all",
                         help="restrict the matrix to one workload family "
@@ -1329,19 +1276,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.update and args.jobs and args.jobs > 1:
         parser.error("--update records the serial baseline; drop --jobs")
-    if args.update and args.engine == "generic":
-        parser.error("--update records the auto-dispatch engine; drop --engine")
-    if args.compare and args.engine == "generic":
-        parser.error("--compare gates counters against the committed planar-"
-                     "engine baseline; --engine generic is for A/B timing runs "
-                     "(no --compare)")
 
     calibration = calibrate()
     print(f"calibration: {calibration:.3f}s"
-          + (f", jobs: {args.jobs}" if args.jobs else "")
-          + (f", engine: {args.engine}" if args.engine else ""))
-    results = run_matrix(quick=args.quick, jobs=args.jobs, engine=args.engine,
-                         family=args.family)
+          + (f", jobs: {args.jobs}" if args.jobs else ""))
+    results = run_matrix(quick=args.quick, jobs=args.jobs, family=args.family)
     print_report(results)
 
     status = 0

@@ -12,7 +12,8 @@ import time
 
 import numpy as np
 
-from repro import generate, maxrank
+from repro import generate
+from repro.core import aa_maxrank
 from repro.experiments import format_table
 from repro.experiments.figures import run_fig9_dimensionality
 from repro.experiments.harness import select_focal_records
@@ -38,9 +39,10 @@ def test_fig9_dimensionality(benchmark, scale):
 
 
 def test_fig9_d3_engine_ab():
-    """A/B of the d = 3 within-leaf engines: planar sweep vs generic.
+    """A/B of the d = 3 within-leaf paths: planar sweep vs generic.
 
-    The two engines must be bit-identical (same ``k*``, same regions, same
+    ``aa_maxrank(..., use_planar=False)`` is the generic reference.  The two
+    paths must be bit-identical (same ``k*``, same regions, same
     representative points); only the candidate-examination volume — and on
     fat-leaf workloads the wall-clock — differs.  The printed table records
     the comparison; the assertions pin the equivalence on every run.
@@ -50,20 +52,20 @@ def test_fig9_d3_engine_ab():
     focals = select_focal_records(dataset, 2, seed=0)
     rows = []
     results = {}
-    for engine in ("planar", "generic"):
+    for path, use_planar in (("planar", True), ("generic", False)):
         start = time.perf_counter()
-        results[engine] = [
-            maxrank(dataset, focal, engine=engine, tau=2, tree=tree)
+        results[path] = [
+            aa_maxrank(dataset, focal, tau=2, tree=tree, use_planar=use_planar)
             for focal in focals
         ]
         rows.append({
-            "engine": engine,
+            "path": path,
             "wall_s": time.perf_counter() - start,
-            "k*": "/".join(str(r.k_star) for r in results[engine]),
-            "|T|": "/".join(str(r.region_count) for r in results[engine]),
+            "k*": "/".join(str(r.k_star) for r in results[path]),
+            "|T|": "/".join(str(r.region_count) for r in results[path]),
         })
     print()
-    print(format_table(rows, title="Figure 9 — d = 3 engine A/B (IND, tau=2)"))
+    print(format_table(rows, title="Figure 9 — d = 3 planar/generic A/B (IND, tau=2)"))
     for planar, generic in zip(results["planar"], results["generic"]):
         assert planar.k_star == generic.k_star
         assert planar.region_count == generic.region_count

@@ -27,7 +27,7 @@ Main entry points
   paper's evaluation section.
 """
 
-from .core.maxrank import ALGORITHMS, ENGINES, imaxrank, maxrank
+from .core.maxrank import ALGORITHMS, imaxrank, maxrank
 from .core.result import MaxRankRegion, MaxRankResult
 from .data.dataset import Dataset, random_permissible_vector, validate_query_vector
 from .data.generators import (
@@ -49,7 +49,6 @@ __all__ = [
     "maxrank",
     "imaxrank",
     "ALGORITHMS",
-    "ENGINES",
     "MaxRankResult",
     "MaxRankRegion",
     "Dataset",

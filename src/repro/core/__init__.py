@@ -8,14 +8,13 @@ from .ba import ba_maxrank
 from .bruteforce import maxrank_exact_small, minimum_order_by_sampling
 from .cells import CellRecord, collect_cells, region_for_cell
 from .fca import fca_maxrank
-from .maxrank import ALGORITHMS, ENGINES, imaxrank, maxrank
+from .maxrank import ALGORITHMS, imaxrank, maxrank
 from .result import MaxRankRegion, MaxRankResult
 
 __all__ = [
     "maxrank",
     "imaxrank",
     "ALGORITHMS",
-    "ENGINES",
     "MaxRankRegion",
     "MaxRankResult",
     "fca_maxrank",

@@ -14,10 +14,10 @@ from ..geometry.halfspace import reduced_space_constraints
 from ..geometry.polytope import ConvexPolytope
 from .result import MaxRankRegion
 
-__all__ = ["whole_space_region"]
+__all__ = ["full_space_region"]
 
 
-def whole_space_region(reduced_dim: int, dominator_count: int) -> MaxRankRegion:
+def full_space_region(reduced_dim: int, dominator_count: int) -> MaxRankRegion:
     """The entire permissible reduced query space as a single region."""
     geometry = ConvexPolytope(
         reduced_space_constraints(reduced_dim), np.zeros(reduced_dim), np.ones(reduced_dim)

@@ -37,7 +37,7 @@ from ..stats import CostCounters
 from .accessor import DataAccessor
 from .cells import CellRecord, collect_cells, region_for_cell
 from .result import MaxRankResult
-from ._whole_space import whole_space_region
+from ._full_space import full_space_region
 
 __all__ = ["aa_maxrank"]
 
@@ -90,8 +90,7 @@ def aa_maxrank(
         dimension-aware default.
     max_depth:
         Quad-tree depth cap; ``None`` picks the dimension-aware default and
-        ``0`` keeps the whole reduced space as one fat leaf — the
-        ``engine="planar-global"`` whole-space mode at ``d = 3``.
+        ``0`` keeps the whole reduced space as one fat leaf.
     split_policy:
         ``"static"`` (default) or ``"cost"`` — see
         :class:`~repro.quadtree.quadtree.AugmentedQuadTree`.  ``k*`` and
@@ -109,7 +108,8 @@ def aa_maxrank(
         see :func:`repro.core.aa3d.aa3d_maxrank` and
         :mod:`repro.geometry.planar`).  Results are bit-identical to the
         generic path.  Off by default — the :func:`repro.core.maxrank.maxrank`
-        façade switches it on automatically at ``d = 3``.
+        façade switches it on exactly when ``d = 3``.  ``False`` at
+        ``d = 3`` runs the generic path, the differential tests' reference.
     executor:
         Optional :class:`~repro.engine.executors.LeafTaskExecutor` running
         the independent within-leaf probes of each scan level (e.g. a
@@ -212,7 +212,7 @@ def aa_maxrank(
         flush_staged()
 
     if len(quadtree) == 0:
-        regions = [whole_space_region(reduced_dim, dominators)]
+        regions = [full_space_region(reduced_dim, dominators)]
         return MaxRankResult(
             k_star=dominators + 1,
             regions=regions,

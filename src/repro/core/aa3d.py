@@ -14,7 +14,7 @@ sweep enabled (see :mod:`repro.geometry.planar` and the ``use_planar`` path
 of :mod:`repro.quadtree.withinleaf`).  Everything outside candidate
 discovery is *shared* with :func:`repro.core.aa.aa_maxrank` — the skyline
 maintenance, the quad-tree, the expansion loop, the leaf scheduling, the
-execution engine — which is what makes the two engines bit-identical: the
+execution engine — which is what makes the two paths bit-identical: the
 planar sweep only changes *which* candidates are examined, never how a
 candidate is decided (same pairwise filter, same exact clipping test, same
 witness centroids).  ``tests/test_differential.py`` pins this equivalence
@@ -61,7 +61,6 @@ def aa3d_maxrank(
     counters: Optional[CostCounters] = None,
     split_threshold: Optional[int] = None,
     split_policy: str = "static",
-    whole_space: bool = False,
     use_pairwise: bool = True,
     executor: Optional[LeafTaskExecutor] = None,
     skyline_cache: Optional[SkylineCache] = None,
@@ -76,14 +75,6 @@ def aa3d_maxrank(
     ``k*``, regions, witness points — and all engine-invariant counters are
     bit-identical to the generic path; only the candidate-examination
     volume (and hence CPU time) differs.
-
-    With ``whole_space=True`` (the façade's ``engine="planar-global"``) the
-    quad-tree is built with ``max_depth=0``: the root never splits, the
-    whole reduced plane is one fat leaf, and the query runs as **one**
-    incremental planar arrangement extended across AA iterations — no split
-    cascade, no per-leaf scheduling.  ``k*`` and the covered region are
-    unchanged; only the leaf-fragment granularity of the reported regions
-    differs (one fragment per arrangement face over the whole plane).
 
     Raises
     ------
@@ -104,7 +95,6 @@ def aa3d_maxrank(
         tree=tree,
         counters=counters,
         split_threshold=split_threshold,
-        max_depth=0 if whole_space else None,
         split_policy=split_policy,
         use_pairwise=use_pairwise,
         use_planar=True,
@@ -112,5 +102,5 @@ def aa3d_maxrank(
         skyline_cache=skyline_cache,
         deadline=deadline,
     )
-    result.algorithm = "AA-3D/global" if whole_space else "AA-3D"
+    result.algorithm = "AA-3D"
     return result

@@ -28,7 +28,7 @@ from ..stats import CostCounters
 from .accessor import DataAccessor
 from .cells import collect_cells, region_for_cell
 from .result import MaxRankRegion, MaxRankResult
-from ._whole_space import whole_space_region
+from ._full_space import full_space_region
 
 __all__ = ["ba_maxrank"]
 
@@ -72,7 +72,7 @@ def ba_maxrank(
         Quad-tree leaf split threshold (ablation A2).
     max_depth:
         Quad-tree depth cap; ``0`` keeps the whole reduced space as one fat
-        leaf (the ``engine="planar-global"`` mode).
+        leaf.
     split_policy:
         ``"static"`` (default) or ``"cost"`` — see
         :class:`~repro.quadtree.quadtree.AugmentedQuadTree`.  ``k*`` and the
@@ -86,8 +86,9 @@ def ba_maxrank(
     use_planar:
         Enable the planar-arrangement sweep inside leaves (``d = 3`` only;
         see :mod:`repro.geometry.planar`).  Bit-identical results; the
-        :func:`repro.core.maxrank.maxrank` façade switches it on
-        automatically at ``d = 3``.
+        :func:`repro.core.maxrank.maxrank` façade switches it on exactly
+        when ``d = 3``.  ``False`` at ``d = 3`` runs the generic path, the
+        differential tests' reference.
     executor:
         Optional :class:`~repro.engine.executors.LeafTaskExecutor` running
         the independent within-leaf probes of each scan level (e.g. a
@@ -147,7 +148,7 @@ def ba_maxrank(
         )
 
     if len(quadtree) == 0:
-        regions = [whole_space_region(reduced_dim, dominators)]
+        regions = [full_space_region(reduced_dim, dominators)]
         return MaxRankResult(
             k_star=dominators + 1,
             regions=regions,

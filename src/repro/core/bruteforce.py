@@ -32,7 +32,7 @@ from ..skyline.dominance import partition_by_dominance
 from ..stats import CostCounters
 from ..topk.scoring import order_of
 from .result import MaxRankRegion, MaxRankResult
-from ._whole_space import whole_space_region
+from ._full_space import full_space_region
 
 __all__ = ["maxrank_exact_small", "minimum_order_by_sampling"]
 
@@ -84,7 +84,7 @@ def maxrank_exact_small(
         )
     counters = CostCounters()
     if incomparable.shape[0] == 0:
-        regions = [whole_space_region(reduced_dim, dominators)]
+        regions = [full_space_region(reduced_dim, dominators)]
         return MaxRankResult(
             k_star=dominators + 1,
             regions=regions,

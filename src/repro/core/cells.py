@@ -336,11 +336,9 @@ def collect_cells(
             deadline.check(counters, "collect_cells")
         if best is not None and priority > best + tau:
             break
-        if (
-            best is None
-            and priority > tree.max_bucket_priority()
-            and not deferred
-        ):
+        if priority > tree.max_bucket_priority() and not deferred:
+            # No bucket or continuation can yield a cell any more, however
+            # far best + tau reaches.
             break
         work: List[Tuple[QuadTreeNode, Optional[_LeafScanState], int]] = []
         for leaf in tree.validated_bucket(priority):

@@ -33,19 +33,10 @@ from .bruteforce import maxrank_exact_small
 from .fca import fca_maxrank
 from .result import MaxRankResult
 
-__all__ = ["maxrank", "imaxrank", "ALGORITHMS", "ENGINES"]
+__all__ = ["maxrank", "imaxrank", "ALGORITHMS"]
 
 #: Selectable algorithm names.
 ALGORITHMS = ("auto", "aa", "aa2d", "aa3d", "ba", "fca", "exact")
-
-#: Within-leaf engine names for the quad-tree algorithms at ``d = 3``:
-#: ``"auto"`` dispatches the planar-arrangement sweep, ``"planar"`` forces
-#: it (and requires ``d = 3``), ``"planar-global"`` additionally skips the
-#: quad-tree (``max_depth=0`` — one arrangement over the whole reduced
-#: plane, no build cost; same ``k*``/coverage, coarser region fragments)
-#: and ``"generic"`` is the escape hatch back to the combinatorial
-#: candidate generator.  ``auto``/``planar``/``generic`` are bit-identical.
-ENGINES = ("auto", "planar", "planar-global", "generic")
 
 
 def maxrank(
@@ -53,7 +44,6 @@ def maxrank(
     focal: Sequence[float] | np.ndarray | int,
     *,
     algorithm: str = "auto",
-    engine: str = "auto",
     tau: int = 0,
     tree: Optional[RStarTree] = None,
     counters: Optional[CostCounters] = None,
@@ -87,20 +77,6 @@ def maxrank(
         processing strategy for the dataset's dimensionality: ``aa2d`` for
         ``d = 2``, ``aa3d`` (the planar-sweep specialisation) for ``d = 3``
         and ``aa`` for ``d ≥ 4``.
-    engine:
-        Within-leaf engine for the quad-tree algorithms at ``d = 3``:
-        ``"auto"`` (default) dispatches the planar-arrangement sweep,
-        ``"planar"`` forces it (``d = 3`` only), ``"generic"`` is the
-        escape hatch back to the combinatorial candidate generator.  The
-        two engines are bit-identical in results and engine-invariant
-        counters; the flag exists for A/B runs and differential testing.
-        ``"planar-global"`` (``d = 3``, AA only) is the whole-space mode:
-        the quad-tree is built with ``max_depth=0`` so the entire reduced
-        plane is one leaf served by a single incremental planar
-        arrangement — no split cascade at all.  ``k*`` and the covered
-        region match the other engines; only the leaf-fragment granularity
-        of the reported regions differs.  Ignored (after validation) by
-        the non-quad-tree algorithms.
     tau:
         iMaxRank slack ``τ ≥ 0``; regions covering orders up to
         ``k* + tau`` are reported.
@@ -173,39 +149,8 @@ def maxrank(
         raise AlgorithmError(
             f"unknown algorithm {algorithm!r}; choose one of {ALGORITHMS}"
         )
-    engine_name = engine.lower()
-    if engine_name not in ENGINES:
-        raise AlgorithmError(
-            f"unknown engine {engine!r}; choose one of {ENGINES}"
-        )
-    if engine_name in ("planar", "planar-global") and dataset.d != 3:
-        raise AlgorithmError(
-            f"engine={engine_name!r} requires d = 3 (the reduced space must "
-            f"be a plane), got d = {dataset.d}"
-        )
     if name == "auto":
-        if dataset.d == 2:
-            name = "aa2d"
-        elif dataset.d == 3 and engine_name != "generic":
-            name = "aa3d"
-        else:
-            name = "aa"
-    if name == "aa3d" and engine_name == "generic":
-        raise AlgorithmError(
-            "algorithm='aa3d' is the planar-sweep specialisation; "
-            "use algorithm='aa' with engine='generic' for the generic path"
-        )
-    if engine_name == "planar-global":
-        if name != "aa3d":
-            raise AlgorithmError(
-                "engine='planar-global' is the whole-space AA-3D mode; "
-                f"it cannot be combined with algorithm={algorithm!r}"
-            )
-        if "max_depth" in options:
-            raise AlgorithmError(
-                "engine='planar-global' fixes max_depth=0 (the whole reduced "
-                "plane is one leaf); don't pass max_depth alongside it"
-            )
+        name = {2: "aa2d", 3: "aa3d"}.get(dataset.d, "aa")
 
     try:
         if name == "fca":
@@ -227,22 +172,15 @@ def maxrank(
                 # runs BBS, so the warm skyline state has nothing to memoise.
                 options = dict(options, skyline_cache=skyline_cache)
             if "use_planar" in options:
-                # The facade's within-leaf engine knob is ``engine=``; a raw
-                # use_planar here could silently contradict the validated flag
-                # (the algorithm-level entry points accept it directly).
+                # The planar sweep is chosen by dimensionality alone; the
+                # generic path is reachable only through aa_maxrank /
+                # ba_maxrank directly (the differential tests' reference).
                 raise AlgorithmError(
-                    "maxrank() selects the within-leaf engine through engine=; "
+                    "maxrank() uses the planar sweep exactly when d = 3; "
                     "pass use_planar only to aa_maxrank/ba_maxrank directly"
                 )
             if name != "aa3d":
-                # Auto-dispatch: at d = 3 the quad-tree algorithms use the
-                # planar sweep unless the generic escape hatch is pulled.
-                options = dict(
-                    options,
-                    use_planar=dataset.d == 3 and engine_name != "generic",
-                )
-            elif engine_name == "planar-global":
-                options = dict(options, whole_space=True)
+                options = dict(options, use_planar=dataset.d == 3)
             owned = None
             if jobs is not None and options.get("executor") is None:
                 owned = make_executor(jobs)
@@ -273,7 +211,6 @@ def imaxrank(
     tau: int,
     *,
     algorithm: str = "auto",
-    engine: str = "auto",
     tree: Optional[RStarTree] = None,
     counters: Optional[CostCounters] = None,
     **options,
@@ -293,7 +230,6 @@ def imaxrank(
         dataset,
         focal,
         algorithm=algorithm,
-        engine=engine,
         tau=tau,
         tree=tree,
         counters=counters,

@@ -143,8 +143,13 @@ class Dataset:
 
         ``focal`` may be a record index (``int``) or an explicit coordinate
         vector; the paper allows the focal record to be outside the dataset,
-        so membership is not required.
+        so membership is not required.  A ``bool`` is neither and is
+        rejected.
         """
+        if isinstance(focal, bool):
+            raise InvalidRecordError(
+                f"focal must be a record index or a coordinate vector, got {focal!r}"
+            )
         if isinstance(focal, (int, np.integer)):
             return self.record(int(focal))
         vector = np.asarray(focal, dtype=float).ravel()

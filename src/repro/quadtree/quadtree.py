@@ -182,8 +182,7 @@ class AugmentedQuadTree:
         splitting further.  ``None`` (default) selects a dimension-aware cap
         for the same reason (node count is ``O(2^(dim·depth))`` in the worst
         case).  ``0`` is legal and means the root never splits — the whole
-        reduced space is one fat leaf (the ``engine="planar-global"`` mode
-        builds on this); negative or non-integral values raise
+        reduced space is one fat leaf; negative or non-integral values raise
         :class:`~repro.errors.GeometryError`.
     split_policy:
         ``"static"`` (default) splits a leaf whenever its partial set

@@ -25,8 +25,8 @@ branch skips the entire subtree of candidates below it, so the number of
 bit-strings ever materialised tracks the *feasible frontier* of the
 arrangement rather than the combinatorial total (``prefixes_cut`` and
 ``candidates_generated`` in :class:`repro.stats.CostCounters` record both
-sides).  When no pruning structure exists the generator degrades to the
-plain chunked ``itertools.combinations`` walk.
+sides).  A leaf with no pruning structure runs the same DFS with no masks,
+which emits exactly the ``itertools.combinations`` sequence.
 
 Surviving candidates are emitted as chunked sign matrices into the batched
 screen→LP funnel (:func:`repro.geometry.lp.screen_cells_batch`), unchanged
@@ -77,7 +77,7 @@ candidates examined shrinks.  AA re-scans retain the arrangement through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import would be cyclic at runtime
@@ -499,9 +499,6 @@ class WithinLeafProcessor:
             )
         else:
             self._row_allowed = ([], [])
-        self._rows_restricted = not (
-            all(self._row_allowed[0]) and all(self._row_allowed[1])
-        )
         #: generation survivors per weight (the surviving-prefix frontier
         #: inherited by the replacement processor on AA re-scans)
         self._track_frontier = bool(track_frontier)
@@ -699,15 +696,6 @@ class WithinLeafProcessor:
     #: memory when the surviving frontier of a weight runs into the millions.
     _CHUNK = 32768
 
-    def _combo_chunks(self, weight: int):
-        """Plain chunked ``C(m, w)`` enumeration (no pruning structure)."""
-        iterator = combinations(range(len(self.partial)), weight)
-        while True:
-            chunk = list(islice(iterator, self._CHUNK))
-            if not chunk:
-                return
-            yield chunk
-
     def _dfs_chunks(self, weight: int, init_states: Optional[list] = None):
         """Prefix-pruned DFS over sign-vector index prefixes.
 
@@ -901,14 +889,9 @@ class WithinLeafProcessor:
     def _candidate_chunks(self, weight: int):
         """Chunks of surviving candidate combinations at one weight.
 
-        Dispatches between the plain combination walk (no pruning structure
-        to exploit), the frontier-seeded DFS (grown leaf on an AA re-scan)
-        and the full prefix-pruned DFS.
+        Dispatches between the frontier-seeded DFS (grown leaf on an AA
+        re-scan) and the full prefix-pruned DFS.
         """
-        pairwise_active = self._pairwise is not None and len(self._pairwise) > 0
-        if not pairwise_active and not self._rows_restricted:
-            yield from self._combo_chunks(weight)
-            return
         states = self._frontier_states(weight)
         if states is not None:
             yield from self._dfs_chunks(weight, init_states=states)

@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import AlgorithmError
 from .cache import query_key
+from .core import validate_tau
 
 __all__ = ["AdmissionController"]
 
@@ -54,19 +55,18 @@ class _Flight:
     """One admitted query: parameters in, shared (result | error) out."""
 
     __slots__ = (
-        "key", "service", "focal", "tau", "algorithm", "engine", "options",
+        "key", "service", "focal", "tau", "algorithm", "options",
         "timeout", "use_cache", "done", "result", "error", "cache_hit",
         "tracer", "ctx",
     )
 
-    def __init__(self, key, service, focal, tau, algorithm, engine,
-                 options, timeout, use_cache, tracer=None, ctx=None):
+    def __init__(self, key, service, focal, tau, algorithm, options,
+                 timeout, use_cache, tracer=None, ctx=None):
         self.key = key
         self.service = service
         self.focal = focal
         self.tau = tau
         self.algorithm = algorithm
-        self.engine = engine
         self.options = options
         self.timeout = timeout
         self.use_cache = use_cache
@@ -147,7 +147,6 @@ class AdmissionController:
         *,
         tau: int = 0,
         algorithm: Optional[str] = None,
-        engine: Optional[str] = None,
         timeout: Optional[float] = None,
         use_cache: bool = True,
         tracer=None,
@@ -166,12 +165,10 @@ class AdmissionController:
         then shows the wait without the computation, which is exactly
         what happened from that request's point of view.
         """
+        # A loose tau (1.7, True) must not key onto a valid flight's answer.
+        validate_tau(tau)
         algorithm = algorithm or service.algorithm
-        engine = engine or service.engine
-        key = (
-            dataset_id,
-            query_key(focal, int(tau), algorithm, engine, options),
-        )
+        key = (dataset_id, query_key(focal, tau, algorithm, options))
         handle = (
             tracer.begin("admission.submit") if tracer is not None else None
         )
@@ -185,7 +182,7 @@ class AdmissionController:
                     coalesced = True
                 else:
                     flight = _Flight(
-                        key, service, focal, int(tau), algorithm, engine,
+                        key, service, focal, tau, algorithm,
                         dict(options), timeout, use_cache,
                         tracer=tracer,
                         ctx=tracer.context() if tracer is not None else None,
@@ -270,7 +267,7 @@ class AdmissionController:
         groups: Dict[Tuple, List[_Flight]] = {}
         for job in wave:
             group = (
-                id(job.service), job.tau, job.algorithm, job.engine,
+                id(job.service), job.tau, job.algorithm,
                 tuple(sorted(job.options.items())), job.timeout,
                 job.use_cache,
                 # A traced flight gets its own batch: the tracer threads
@@ -302,7 +299,6 @@ class AdmissionController:
                     [job.focal for job in jobs],
                     tau=lead.tau,
                     algorithm=lead.algorithm,
-                    engine=lead.engine,
                     jobs=self.jobs,
                     use_cache=lead.use_cache,
                     timeout=lead.timeout,

@@ -89,7 +89,7 @@ class QueryTask:
     focal_index / focal_vector:
         Exactly one is set: the focal record as a dataset index, or as
         explicit coordinates (the what-if case).
-    tau, algorithm, engine:
+    tau, algorithm:
         The query parameters, exactly as the service façade received them.
     options:
         Frozen algorithm options (``split_threshold``, ``use_pairwise``, …)
@@ -114,7 +114,6 @@ class QueryTask:
     focal_vector: Optional[np.ndarray] = None
     tau: int = 0
     algorithm: str = "auto"
-    engine: str = "auto"
     options: Tuple[Tuple[str, object], ...] = field(default=())
     deadline: Optional[Deadline] = None
     trace: Optional[TraceContext] = None
@@ -164,7 +163,6 @@ class QueryTask:
                 state.dataset,
                 focal,
                 algorithm=self.algorithm,
-                engine=self.engine,
                 tau=self.tau,
                 tree=state.tree,
                 counters=counters,

@@ -1,10 +1,10 @@
 """LRU result cache of the MaxRank service layer.
 
 The cache maps a fully resolved query identity — focal record, iMaxRank
-slack ``tau``, algorithm, within-leaf engine and any algorithm options — to
-the :class:`~repro.core.result.MaxRankResult` a previous computation
-produced.  Hits return the stored result object unchanged, so a cached
-answer is trivially bit-identical to the original computation.
+slack ``tau``, algorithm and any algorithm options — to the
+:class:`~repro.core.result.MaxRankResult` a previous computation produced.
+Hits return the stored result object unchanged, so a cached answer is
+trivially bit-identical to the original computation.
 
 Scoped mutation invalidation
 ----------------------------
@@ -55,8 +55,8 @@ from ..errors import AlgorithmError
 
 __all__ = ["QueryCache", "query_key"]
 
-#: Cache key: (focal identity, tau, algorithm, engine, frozen options).
-CacheKey = Tuple[Hashable, int, str, str, Tuple[Tuple[str, Hashable], ...]]
+#: Cache key: (focal identity, tau, algorithm, frozen options).
+CacheKey = Tuple[Hashable, int, str, Tuple[Tuple[str, Hashable], ...]]
 
 
 def _focal_identity(focal) -> Hashable:
@@ -66,7 +66,7 @@ def _focal_identity(focal) -> Hashable:
     *distinct* identities: equality of derived answers would hold, but the
     cache only ever serves results whose inputs were equal as given.
     """
-    if isinstance(focal, (int, np.integer)):
+    if isinstance(focal, (int, np.integer)) and not isinstance(focal, bool):
         return ("idx", int(focal))
     vector = np.asarray(focal, dtype=float).ravel()
     return ("vec", vector.tobytes())
@@ -76,7 +76,6 @@ def query_key(
     focal,
     tau: int,
     algorithm: str,
-    engine: str,
     options: Optional[Dict[str, object]] = None,
 ) -> CacheKey:
     """Build the cache key of one query.
@@ -93,7 +92,7 @@ def query_key(
         if isinstance(value, (list, np.ndarray)):
             value = tuple(np.asarray(value).ravel().tolist())
         frozen.append((name, value))
-    return (_focal_identity(focal), int(tau), algorithm, engine, tuple(frozen))
+    return (_focal_identity(focal), int(tau), algorithm, tuple(frozen))
 
 
 def _mutation_leaves_result_intact(

@@ -101,7 +101,7 @@ from ..errors import (
 from ..obs import MetricsRegistry, Tracer, configure_logging, get_logger
 from ..obs.snapshot import install_serving_collector, serving_snapshot
 from ..stats import CostCounters
-from .core import MaxRankService, result_fingerprint
+from .core import MaxRankService, result_fingerprint, validate_tau
 
 __all__ = ["main", "error_code"]
 
@@ -285,6 +285,11 @@ def _parse_focal(request: dict):
     return focal
 
 
+def _parse_tau(request: dict) -> int:
+    """The request's ``tau``, validated as given: never coerced by ``int()``."""
+    return validate_tau(request.get("tau", 0))
+
+
 class _ServeObservability:
     """Per-serve-loop observability: the metrics registry + slow-query log.
 
@@ -432,7 +437,7 @@ class _ServiceBackend(_ObservedBackend):
         hits_before = self.service.cache.hits
         result = self.service.query(
             _parse_focal(request),
-            tau=int(request.get("tau", 0)),
+            tau=_parse_tau(request),
             timeout=request.get("timeout", self.default_timeout),
             tracer=tracer,
         )
@@ -493,7 +498,7 @@ class _RouterBackend(_ObservedBackend):
         result, cache_hit = self.router.query(
             dataset,
             _parse_focal(request),
-            tau=int(request.get("tau", 0)),
+            tau=_parse_tau(request),
             timeout=request.get("timeout", self.default_timeout),
             tracer=tracer,
         )

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.maxrank import ALGORITHMS, ENGINES, maxrank
+from ..core.maxrank import ALGORITHMS, maxrank
 from ..core.result import MaxRankResult
 from ..data.dataset import Dataset
 from ..engine.deadline import Deadline
@@ -58,11 +58,26 @@ from ..stats import CostCounters
 from .batch import QueryTask, register_state, unregister_state
 from .cache import QueryCache, query_key
 
-__all__ = ["MaxRankService", "result_fingerprint"]
+__all__ = ["MaxRankService", "result_fingerprint", "validate_tau"]
 
 logger = get_logger("repro.service")
 
 Focal = Union[int, Sequence[float], np.ndarray]
+
+
+def validate_tau(tau) -> int:
+    """Return ``tau`` if it is a non-negative integer; raise otherwise.
+
+    Strict on purpose: ``bool`` and floats (``1.7``, ``1.0``) are rejected
+    rather than coerced, so a malformed request is never answered as a
+    different ``tau``.
+    """
+    if isinstance(tau, bool) or not isinstance(tau, (int, np.integer)):
+        raise AlgorithmError(f"tau must be a non-negative integer, got {tau!r}")
+    if tau < 0:
+        raise AlgorithmError(f"tau must be non-negative, got {tau}")
+    return tau
+
 
 def result_fingerprint(result: MaxRankResult):
     """Bit-exact identity of a result: ``k*`` plus every region's order,
@@ -164,8 +179,8 @@ class MaxRankService:
     tree:
         Optional pre-built R*-tree over ``dataset.records`` (record ids must
         be row indices, as produced by :meth:`RStarTree.build`).
-    algorithm / engine:
-        Defaults applied to every query (overridable per call); the usual
+    algorithm:
+        Default applied to every query (overridable per call); the usual
         :func:`repro.maxrank` values.
     cache_size:
         LRU result-cache capacity (``0`` disables result caching).
@@ -194,13 +209,11 @@ class MaxRankService:
         *,
         tree: Optional[RStarTree] = None,
         algorithm: str = "auto",
-        engine: str = "auto",
         cache_size: int = 256,
         name: Optional[str] = None,
     ) -> None:
         self.dataset = dataset
         self.algorithm = algorithm
-        self.engine = engine
         self.name = name or dataset.name
         build_start = time.perf_counter()
         self.tree = tree if tree is not None else RStarTree.build(dataset.records)
@@ -326,33 +339,21 @@ class MaxRankService:
         )
 
     # -------------------------------------------------------------- queries
-    def _key(self, focal: Focal, tau: int, algorithm: str, engine: str, options):
-        return query_key(focal, tau, algorithm, engine, options)
-
-    def _validate_request(
-        self, focal: Focal, tau: int, algorithm: str, engine: str
-    ) -> None:
+    def _validate_request(self, focal: Focal, tau: int, algorithm: str) -> None:
         """Reject malformed requests before any cache-key or tree work.
 
         Raises a :class:`~repro.errors.ReproError` subclass for NaN /
         infinite / wrong-dimensional focal vectors, out-of-range focal
-        indices, negative or non-integral ``tau`` and unknown algorithm or
-        engine names, so service callers (and the JSON-lines ``serve``
-        loop) get a structured, catchable error instead of a deep
-        traceback from the middle of a tree descent.
+        indices, negative or non-integral ``tau`` and unknown algorithm
+        names, so service callers (and the JSON-lines ``serve`` loop) get a
+        structured, catchable error instead of a deep traceback from the
+        middle of a tree descent.
         """
         self.dataset.validate_focal(focal)
-        if isinstance(tau, bool) or not isinstance(tau, (int, np.integer)):
-            raise AlgorithmError(f"tau must be a non-negative integer, got {tau!r}")
-        if tau < 0:
-            raise AlgorithmError(f"tau must be non-negative, got {tau}")
+        validate_tau(tau)
         if algorithm not in ALGORITHMS:
             raise AlgorithmError(
                 f"unknown algorithm {algorithm!r}; choose one of {ALGORITHMS}"
-            )
-        if engine not in ENGINES:
-            raise AlgorithmError(
-                f"unknown engine {engine!r}; choose one of {ENGINES}"
             )
 
     @staticmethod
@@ -368,7 +369,6 @@ class MaxRankService:
         focal: Focal,
         tau: int,
         algorithm: str,
-        engine: str,
         options: Dict[str, object],
         jobs: Optional[int] = None,
         deadline: Optional[Deadline] = None,
@@ -388,7 +388,6 @@ class MaxRankService:
                 self.dataset,
                 focal,
                 algorithm=algorithm,
-                engine=engine,
                 tau=tau,
                 tree=self.tree,
                 counters=counters,
@@ -412,7 +411,6 @@ class MaxRankService:
         *,
         tau: int = 0,
         algorithm: Optional[str] = None,
-        engine: Optional[str] = None,
         use_cache: bool = True,
         jobs: Optional[int] = None,
         timeout: Optional[Union[float, Deadline]] = None,
@@ -441,10 +439,9 @@ class MaxRankService:
         if self._closed:
             raise AlgorithmError("the service is closed")
         algorithm = algorithm or self.algorithm
-        engine = engine or self.engine
-        self._validate_request(focal, tau, algorithm, engine)
+        self._validate_request(focal, tau, algorithm)
         deadline = self._coerce_deadline(timeout)
-        key = self._key(focal, tau, algorithm, engine, options)
+        key = query_key(focal, tau, algorithm, options)
         handle = tracer.begin("service.query") if tracer is not None else None
         cache_hit = False
         try:
@@ -459,7 +456,7 @@ class MaxRankService:
                             return cached
                 try:
                     result = self._compute(
-                        focal, tau, algorithm, engine, options,
+                        focal, tau, algorithm, options,
                         jobs=jobs, deadline=deadline, tracer=tracer,
                     )
                 except QueryTimeoutError as exc:
@@ -484,7 +481,6 @@ class MaxRankService:
         *,
         tau: int = 0,
         algorithm: Optional[str] = None,
-        engine: Optional[str] = None,
         jobs: Optional[int] = None,
         use_cache: bool = True,
         timeout: Optional[Union[float, Deadline]] = None,
@@ -513,9 +509,8 @@ class MaxRankService:
         if self._closed:
             raise AlgorithmError("the service is closed")
         algorithm = algorithm or self.algorithm
-        engine = engine or self.engine
         for focal in focals:
-            self._validate_request(focal, tau, algorithm, engine)
+            self._validate_request(focal, tau, algorithm)
         deadline = self._coerce_deadline(timeout)
         with self._gate.read():
             with self._mutex:
@@ -528,7 +523,7 @@ class MaxRankService:
                 local: Dict[object, MaxRankResult] = {}
                 ordered: List[MaxRankResult] = []
                 for focal in focals:
-                    key = self._key(focal, tau, algorithm, engine, options)
+                    key = query_key(focal, tau, algorithm, options)
                     if key in local:
                         with self._mutex:
                             self.queries_served += 1
@@ -540,7 +535,6 @@ class MaxRankService:
                         focal,
                         tau=tau,
                         algorithm=algorithm,
-                        engine=engine,
                         use_cache=use_cache,
                         timeout=deadline,
                         tracer=tracer,
@@ -551,10 +545,7 @@ class MaxRankService:
                 return ordered
 
             # Whole-query parallelism: dedupe, serve hits, schedule misses.
-            keys = [
-                self._key(focal, tau, algorithm, engine, options)
-                for focal in focals
-            ]
+            keys = [query_key(focal, tau, algorithm, options) for focal in focals]
             results: Dict[object, MaxRankResult] = {}
             pending: List[Focal] = []
             pending_keys: List[object] = []
@@ -582,7 +573,7 @@ class MaxRankService:
                     batch_trace = tracer.context()
                 tasks = [
                     self._make_task(
-                        focal, tau, algorithm, engine, frozen_options,
+                        focal, tau, algorithm, frozen_options,
                         deadline, trace=batch_trace, trace_tag=f"Q{index}",
                     )
                     for index, focal in enumerate(pending)
@@ -642,7 +633,6 @@ class MaxRankService:
         focal: Focal,
         tau: int,
         algorithm: str,
-        engine: str,
         frozen_options,
         deadline: Optional[Deadline] = None,
         trace=None,
@@ -654,7 +644,6 @@ class MaxRankService:
                 focal_index=int(focal),
                 tau=tau,
                 algorithm=algorithm,
-                engine=engine,
                 options=frozen_options,
                 deadline=deadline,
                 trace=trace,
@@ -665,7 +654,6 @@ class MaxRankService:
             focal_vector=np.asarray(focal, dtype=float).ravel(),
             tau=tau,
             algorithm=algorithm,
-            engine=engine,
             options=frozen_options,
             deadline=deadline,
             trace=trace,

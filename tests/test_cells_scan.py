@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import CostCounters
+from repro import CostCounters, Deadline, generate, maxrank
 from repro.core.cells import collect_cells, region_for_cell
 from repro.geometry import Halfspace, minimum_order_cells
 from repro.quadtree import AugmentedQuadTree
+from repro.service import result_fingerprint
 
 
 def build_tree(halfspaces, split_threshold=4):
@@ -90,3 +91,14 @@ class TestCollectCells:
         # The witness point must satisfy the bit assignment the cell encodes.
         for hid in cells[0].containing_ids:
             assert tree.halfspace(hid).contains_point(point)
+
+
+class TestScanTermination:
+    def test_huge_tau_stops_once_work_is_exhausted(self):
+        """A τ beyond every reachable order answers like the widest useful
+        τ: the scan stops when no bucket or continuation is left instead of
+        stepping through empty priority levels up to ``k* + τ``."""
+        dataset = generate("IND", 60, 3, seed=0)
+        wide = maxrank(dataset, 3, tau=60)  # n = 60: every order is covered
+        huge = maxrank(dataset, 3, tau=10**20, deadline=Deadline.after(20))
+        assert result_fingerprint(huge) == result_fingerprint(wide)

@@ -4,8 +4,9 @@ Dimension-specialised fast paths are where query processors silently
 diverge, so every specialised engine in this repo is pinned against two
 independent references on a seeded random matrix:
 
-* at ``d = 3``: the planar-sweep engine (``aa3d`` / ``engine="planar"``)
-  versus the generic quad-tree path (``engine="generic"``) versus the
+* at ``d = 3``: the planar-sweep engine (``maxrank()``'s ``aa3d``)
+  versus the generic quad-tree path (``aa_maxrank(..., use_planar=False)``,
+  reachable only from tests) versus the
   brute-force arrangement oracle (:func:`repro.core.maxrank_exact_small`),
   over IND/ANTI/COR × τ ∈ {1, 4} × several seeds (42 cases), plus a τ = 0
   sanity slice;
@@ -34,6 +35,7 @@ import numpy as np
 import pytest
 
 from repro import CostCounters, generate, maxrank
+from repro.core import aa_maxrank
 from repro.obs import Tracer
 from repro.skyline.dominance import partition_by_dominance
 from repro.topk.scoring import order_of
@@ -144,17 +146,10 @@ class TestPlanarVsGenericVsBruteforce3D:
         dataset, focal = make_case(dist, 3, 100 + seed)
 
         planar_counters = CostCounters()
-        planar = maxrank(
-            dataset, focal, engine="planar", tau=tau, counters=planar_counters
-        )
+        planar = maxrank(dataset, focal, tau=tau, counters=planar_counters)
         generic_counters = CostCounters()
-        generic = maxrank(
-            dataset,
-            focal,
-            algorithm="aa",
-            engine="generic",
-            tau=tau,
-            counters=generic_counters,
+        generic = aa_maxrank(
+            dataset, focal, tau=tau, counters=generic_counters, use_planar=False
         )
         oracle = maxrank(dataset, focal, algorithm="exact", tau=tau)
 
@@ -183,8 +178,8 @@ class TestPlanarVsGenericVsBruteforce3D:
     def test_tau_zero_sanity(self, dist, seed):
         """Plain MaxRank slice: minimum-order cells only."""
         dataset, focal = make_case(dist, 3, 200 + seed)
-        planar = maxrank(dataset, focal, engine="planar")
-        generic = maxrank(dataset, focal, algorithm="aa", engine="generic")
+        planar = maxrank(dataset, focal)
+        generic = aa_maxrank(dataset, focal, use_planar=False)
         oracle = maxrank(dataset, focal, algorithm="exact")
         assert planar.k_star == generic.k_star == oracle.k_star
         assert region_fingerprint(planar) == region_fingerprint(generic)
@@ -192,41 +187,26 @@ class TestPlanarVsGenericVsBruteforce3D:
 
     def test_planar_engine_is_deterministic(self):
         dataset, focal = make_case("IND", 3, 300)
-        first = maxrank(dataset, focal, engine="planar", tau=2)
-        second = maxrank(dataset, focal, engine="planar", tau=2)
+        first = maxrank(dataset, focal, tau=2)
+        second = maxrank(dataset, focal, tau=2)
         assert region_fingerprint(first) == region_fingerprint(second)
 
 
-class TestWholeSpaceAndCostPolicy3D:
-    """engine='planar-global' and split_policy='cost' over the same matrix.
+class TestCostPolicy3D:
+    """split_policy='cost' over the same matrix.
 
-    Both knobs change only *where* the arrangement work happens (one
-    whole-space arrangement vs per-leaf ones; cost-driven vs static splits),
-    so ``k*``, the dominator count and the canonical cell set must match the
-    default engine and the brute-force oracle on every case — only the
-    leaf-fragment granularity of the reported regions may differ.
+    The policy changes only *where* the arrangement work happens
+    (cost-driven vs static splits), so ``k*``, the dominator count and the
+    canonical cell set must match the static policy and the brute-force
+    oracle on every case — only the leaf-fragment granularity of the
+    reported regions may differ.
     """
-
-    @pytest.mark.parametrize("dist,tau,seed", CASES_3D)
-    def test_planar_global_matches_planar_and_oracle(self, dist, tau, seed):
-        dataset, focal = make_case(dist, 3, 100 + seed)
-        planar = maxrank(dataset, focal, engine="planar", tau=tau)
-        whole = maxrank(dataset, focal, engine="planar-global", tau=tau)
-        oracle = maxrank(dataset, focal, algorithm="exact", tau=tau)
-        assert whole.algorithm == "AA-3D/global"
-        assert whole.k_star == planar.k_star == oracle.k_star
-        assert whole.dominator_count == planar.dominator_count
-        assert whole.minimum_cell_order == planar.minimum_cell_order
-        assert canonical_cells(whole) == canonical_cells(oracle)
-        assert_rank_semantics(dataset, focal, whole)
 
     @pytest.mark.parametrize("dist,tau,seed", CASES_3D)
     def test_cost_policy_matches_static_and_oracle(self, dist, tau, seed):
         dataset, focal = make_case(dist, 3, 100 + seed)
-        static = maxrank(dataset, focal, engine="planar", tau=tau)
-        cost = maxrank(
-            dataset, focal, engine="planar", tau=tau, split_policy="cost"
-        )
+        static = maxrank(dataset, focal, tau=tau)
+        cost = maxrank(dataset, focal, tau=tau, split_policy="cost")
         oracle = maxrank(dataset, focal, algorithm="exact", tau=tau)
         assert cost.k_star == static.k_star == oracle.k_star
         assert cost.dominator_count == static.dominator_count
@@ -253,17 +233,14 @@ class TestTracedBitIdentity3D:
         dataset, focal = make_case(dist, 3, 100 + seed)
 
         plain_counters = CostCounters()
-        plain = maxrank(
-            dataset, focal, engine="planar", tau=tau, counters=plain_counters
-        )
+        plain = maxrank(dataset, focal, tau=tau, counters=plain_counters)
 
         tracer = Tracer()
         traced_counters = CostCounters()
         traced_counters._tracer = tracer
         with tracer.span("request"):
             traced = maxrank(
-                dataset, focal, engine="planar", tau=tau,
-                counters=traced_counters,
+                dataset, focal, tau=tau, counters=traced_counters
             )
         traced_counters._tracer = None
         tracer.absorb(traced_counters.drain_spans())

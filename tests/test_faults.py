@@ -430,6 +430,7 @@ class TestServiceBoundary:
             [0.5, 0.5],          # wrong dimensionality
             10**9,               # out-of-range index
             -1,                  # negative index
+            True,                # a bool is not record 1
         ],
     )
     def test_bad_focal_rejected_before_tree_work(self, service, focal):
@@ -443,7 +444,6 @@ class TestServiceBoundary:
         {"tau": 1.5},
         {"tau": True},
         {"algorithm": "bogus"},
-        {"engine": "bogus"},
     ])
     def test_bad_parameters_rejected(self, service, kwargs):
         with pytest.raises(AlgorithmError):
@@ -557,6 +557,10 @@ class TestCliFailureContract:
             '{"focal": 5}',
             'garbage',
             '{"focal": 1000000}',
+            # Loose types are rejected, never coerced to tau = 1 / record 1.
+            '{"focal": 5, "tau": 1.7}',
+            '{"focal": 5, "tau": true}',
+            '{"focal": true}',
             '{"focal": 9, "timeout": 1e-9}',
             '{"focal": 5}',
             '{"cmd": "quit"}',
@@ -566,12 +570,12 @@ class TestCliFailureContract:
         out = [json.loads(line) for line in run.stdout.splitlines()]
         assert out[0]["ready"] is True
         assert "k_star" in out[1]
-        assert out[2]["error"]["code"] == "bad_request"
-        assert out[3]["error"]["code"] == "bad_request"
-        assert out[4]["error"]["code"] == "timeout"
-        assert out[5]["cache_hit"] is True  # the loop kept serving
-        assert out[6]["shutdown"] is True and out[6]["reason"] == "eof"
-        assert out[6]["queries_answered"] == 2
+        for bad in out[2:7]:
+            assert bad["error"]["code"] == "bad_request"
+        assert out[7]["error"]["code"] == "timeout"
+        assert out[8]["cache_hit"] is True  # the loop kept serving
+        assert out[9]["shutdown"] is True and out[9]["reason"] == "eof"
+        assert out[9]["queries_answered"] == 2
 
     def test_serve_drains_gracefully_on_sigterm(self, snapshot):
         env = dict(os.environ)

@@ -34,24 +34,13 @@ class TestFacadeDispatch:
         result = maxrank(data, 0)
         assert result.algorithm == "AA"
 
-    def test_generic_engine_escape_hatch(self, small_3d):
-        generic = maxrank(small_3d, 0, engine="generic")
-        assert generic.algorithm == "AA"
-        auto = maxrank(small_3d, 0)
-        assert auto.k_star == generic.k_star
-        assert auto.region_count == generic.region_count
-
-    def test_planar_engine_requires_d3(self, small_2d):
-        with pytest.raises(AlgorithmError):
-            maxrank(small_2d, 0, engine="planar")
-
-    def test_aa3d_rejects_generic_engine(self, small_3d):
-        with pytest.raises(AlgorithmError):
-            maxrank(small_3d, 0, algorithm="aa3d", engine="generic")
-
-    def test_unknown_engine_rejected(self, small_3d):
-        with pytest.raises(AlgorithmError):
-            maxrank(small_3d, 0, engine="warp")
+    @pytest.mark.parametrize("algorithm", ["auto", "aa", "aa3d", "ba"])
+    def test_caller_use_planar_rejected(self, small_3d, algorithm):
+        """The façade picks the planar sweep by d alone; a raw use_planar
+        (the generic path is reachable only through aa_maxrank/ba_maxrank)
+        is refused rather than silently honoured or ignored."""
+        with pytest.raises(AlgorithmError, match="use_planar"):
+            maxrank(small_3d, 0, algorithm=algorithm, use_planar=False)
 
     @pytest.mark.parametrize("name, expected", [
         ("fca", "FCA"), ("aa2d", "AA-2D"),

@@ -60,16 +60,26 @@ def oracle_survivors(processor: WithinLeafProcessor, weight: int):
 
 
 class TestDfsGeneration:
+    @pytest.mark.parametrize("use_pairwise", [True, False])
     @given(seed=st.integers(0, 200), count=st.integers(2, 9), dim=st.integers(3, 4))
     @settings(max_examples=40, deadline=None)
-    def test_dfs_emits_exactly_the_filter_survivors_in_order(self, seed, count, dim):
-        """DFS output == (combinations minus filtered), lexicographically."""
+    def test_dfs_emits_exactly_the_filter_survivors_in_order(
+        self, use_pairwise, seed, count, dim
+    ):
+        """DFS output == (combinations minus filtered), lexicographically.
+
+        Without pairwise masks the DFS is the only generator for every leaf,
+        so the no-mask case pins it against plain ``combinations`` (minus
+        the per-row bound).
+        """
         halfspaces = [(i, h) for i, h in enumerate(random_halfspaces(count, dim, seed))]
         rng = np.random.default_rng(seed + 17)
         lower = rng.uniform(0.0, 0.3, size=dim)
         upper = lower + rng.uniform(0.2, 0.5, size=dim)
         processor = WithinLeafProcessor(lower, upper, halfspaces,
-                                        use_pairwise=True, pairwise_min_size=2)
+                                        use_pairwise=use_pairwise,
+                                        pairwise_min_size=2)
+        assert (processor._pairwise is None) == (not use_pairwise)
         for weight in range(count + 1):
             emitted = [ones for chunk in processor._dfs_chunks(weight) for ones in chunk]
             assert emitted == oracle_survivors(processor, weight)

@@ -43,10 +43,12 @@ class TestPublicSurface:
             "auto", "aa", "aa2d", "aa3d", "ba", "fca", "exact",
         }
 
-    def test_engine_registry(self):
-        from repro.core import ENGINES
+    def test_engine_registry_is_gone(self):
+        """d = 3 has one path: no engine names are exported."""
+        import repro.core
 
-        assert set(ENGINES) == {"auto", "planar", "planar-global", "generic"}
+        assert not hasattr(repro, "ENGINES")
+        assert not hasattr(repro.core, "ENGINES")
 
 
 class TestQuickstartExample:

@@ -117,8 +117,8 @@ class TestConstructionValidation:
         assert all(leaf.depth <= 4 for leaf in tree.leaves())
 
     def test_max_depth_zero_keeps_one_fat_leaf(self):
-        """max_depth=0 is legal (the planar-global mode relies on it): the
-        root never splits and holds every overlapping half-space."""
+        """max_depth=0 is legal: the root never splits and holds every
+        overlapping half-space."""
         halfspaces = random_halfspaces(30, 2, seed=7)
         tree = AugmentedQuadTree(2, max_depth=0)
         tree.insert_bulk(halfspaces)

@@ -116,6 +116,17 @@ class TestSingleFlight:
             assert stats["waves"] == 1 and stats["wave_jobs"] == 1
             assert service.stats()["queries_computed"] == 1
 
+    @pytest.mark.parametrize("tau", [1.7, True])
+    def test_loose_tau_refused_before_keying(self, tau):
+        """int(1.7) and True would key onto a τ = 1 flight and take its
+        answer; the admission layer refuses them before admitting."""
+        dataset = generate("IND", 80, 3, seed=2)
+        with MaxRankService(dataset) as service:
+            admission = AdmissionController()
+            with pytest.raises(AlgorithmError):
+                admission.submit(service, "ds", 3, tau=tau)
+            assert admission.stats()["admitted"] == 0
+
     def test_errors_propagate_to_every_waiter(self):
         dataset = generate("IND", 80, 3, seed=2)
         with MaxRankService(dataset) as service:

@@ -166,19 +166,20 @@ class TestQueryCache:
             assert results[0] is results[1] is results[3]
 
     def test_key_separates_inputs(self):
-        base = query_key(3, 1, "auto", "auto", {})
-        assert query_key(4, 1, "auto", "auto", {}) != base
-        assert query_key(3, 2, "auto", "auto", {}) != base
-        assert query_key(3, 1, "aa", "auto", {}) != base
-        assert query_key(3, 1, "auto", "generic", {}) != base
-        assert query_key(3, 1, "auto", "auto", {"split_threshold": 9}) != base
+        base = query_key(3, 1, "auto", {})
+        assert query_key(4, 1, "auto", {}) != base
+        assert query_key(3, 2, "auto", {}) != base
+        assert query_key(3, 1, "aa", {}) != base
+        assert query_key(3, 1, "auto", {"split_threshold": 9}) != base
         # An index and the same record's coordinates are distinct identities.
-        assert query_key(np.array([0.1, 0.2, 0.7]), 1, "auto", "auto", {}) != base
+        assert query_key(np.array([0.1, 0.2, 0.7]), 1, "auto", {}) != base
+        # A bool is not an index: it never keys onto record 1's answer.
+        assert query_key(True, 1, "auto", {}) != query_key(1, 1, "auto", {})
 
     def test_cache_object_counts(self):
         cache = QueryCache(maxsize=1)
-        key_a = query_key(1, 0, "auto", "auto", {})
-        key_b = query_key(2, 0, "auto", "auto", {})
+        key_a = query_key(1, 0, "auto", {})
+        key_b = query_key(2, 0, "auto", {})
         assert cache.get(key_a) is None
         assert cache.misses == 1
         dataset = generate("IND", 80, 3, seed=0)

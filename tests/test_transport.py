@@ -319,8 +319,15 @@ class TestServingEndToEnd:
         assert unnamed["error"]["code"] == "bad_request"
         truncated = ask({"cmd": "delete", "dataset": "beta"})  # no record_id
         assert truncated["error"]["code"] == "bad_request"
+        # Loose types are rejected, never coerced to tau = 1 / record 1.
+        for loose in ({"dataset": "alpha", "focal": 3, "tau": 1.7},
+                      {"dataset": "alpha", "focal": 3, "tau": True},
+                      {"dataset": "alpha", "focal": True}):
+            assert ask(loose)["error"]["code"] == "bad_request"
 
         # Still serving after every error (isolation), and stats flow.
         stats = ask({"cmd": "stats"})
-        assert stats["routed"] == 2  # only the valid queries were routed
+        # The valid queries plus the bool focal, which reaches its shard
+        # and fails there; a bad tau is refused before routing.
+        assert stats["routed"] == 3
         sock.close()
