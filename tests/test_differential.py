@@ -9,7 +9,8 @@ independent references on a seeded random matrix:
   reachable only from tests) versus the
   brute-force arrangement oracle (:func:`repro.core.maxrank_exact_small`),
   over IND/ANTI/COR × τ ∈ {1, 4} × several seeds (42 cases), plus a τ = 0
-  sanity slice;
+  sanity slice; the basic approach (``algorithm="ba"``) runs the same
+  matrix against ``ba_maxrank(..., use_planar=False)`` and the oracle;
 * at ``d = 2``: the sorted-list arrangement (``aa2d``) versus the same
   brute-force oracle.
 
@@ -35,7 +36,7 @@ import numpy as np
 import pytest
 
 from repro import CostCounters, generate, maxrank
-from repro.core import aa_maxrank
+from repro.core import aa_maxrank, ba_maxrank
 from repro.obs import Tracer
 from repro.skyline.dominance import partition_by_dominance
 from repro.topk.scoring import order_of
@@ -190,6 +191,43 @@ class TestPlanarVsGenericVsBruteforce3D:
         first = maxrank(dataset, focal, tau=2)
         second = maxrank(dataset, focal, tau=2)
         assert region_fingerprint(first) == region_fingerprint(second)
+
+
+class TestBaPlanarVsGenericVsBruteforce3D:
+    """The same 42-case matrix through the basic approach (BA).
+
+    ``maxrank(..., algorithm="ba")`` turns the planar sweep on at ``d = 3``
+    exactly as ``aa`` does, so BA's planar and generic within-leaf paths
+    must agree bit for bit as well, and both with the oracle.
+    """
+
+    @pytest.mark.parametrize("dist,tau,seed", CASES_3D)
+    def test_ba_planar_matches_generic_and_oracle(self, dist, tau, seed):
+        dataset, focal = make_case(dist, 3, 100 + seed)
+
+        planar_counters = CostCounters()
+        planar = maxrank(
+            dataset, focal, algorithm="ba", tau=tau, counters=planar_counters
+        )
+        generic_counters = CostCounters()
+        generic = ba_maxrank(
+            dataset, focal, tau=tau, counters=generic_counters, use_planar=False
+        )
+        oracle = maxrank(dataset, focal, algorithm="exact", tau=tau)
+
+        assert planar.algorithm == generic.algorithm == "BA"
+        assert planar.k_star == generic.k_star == oracle.k_star
+        assert planar.dominator_count == generic.dominator_count == oracle.dominator_count
+        assert planar.minimum_cell_order == generic.minimum_cell_order
+        assert region_fingerprint(planar) == region_fingerprint(generic)
+        assert canonical_cells(planar) == canonical_cells(oracle)
+
+        planar_dump = planar_counters.as_dict()
+        generic_dump = generic_counters.as_dict()
+        for name in ENGINE_INVARIANT_COUNTERS:
+            assert planar_dump[name] == generic_dump[name], name
+        assert generic_dump["faces_enumerated"] == 0
+        assert_rank_semantics(dataset, focal, planar)
 
 
 class TestCostPolicy3D:
