@@ -838,7 +838,7 @@ def run_serve_config(
     from repro.obs.snapshot import serving_snapshot
     from repro.service import DatasetRouter, ThreadedLineServer
     from repro.service.cli import (  # the real CLI backend, not a test double
-        _answer_payload, _error_payload, _handle_request, _RouterBackend,
+        _answer_payload, _RouterBackend,
     )
 
     datasets = {
@@ -880,15 +880,9 @@ def run_serve_config(
 
     shards = {name: MaxRankService(dataset) for name, dataset in datasets.items()}
     router = DatasetRouter(shards, slots=2, wave_window_s=0.02, jobs=jobs)
-    backend = _RouterBackend(router, None)
-
-    def handler(line: str):
-        payload, quit_ = _handle_request(backend, json_mod.loads(line))
-        return (None if payload is None else json_mod.dumps(payload)), quit_
-
+    backend = _RouterBackend(router)
     server = ThreadedLineServer(
-        "127.0.0.1", 0, handler,
-        on_error=lambda exc: json_mod.dumps({"error": _error_payload(exc)}),
+        "127.0.0.1", 0, backend.handle_line, on_error=backend.error_line,
     )
     server_thread = threading.Thread(target=server.serve_forever, daemon=True)
     server_thread.start()

@@ -146,9 +146,10 @@ def _solve_with_seidel(
     if counters is not None:
         counters.lp_constraint_rows += A.shape[0] + 2 * dim
     constraints = []
-    # a · x - ||a|| t >= b   ->   -a · x + ||a|| t <= -b
-    for row, offset, norm in zip(A, b, norms):
-        constraints.append(([*(-row), float(norm)], float(-offset)))
+    # a · x - ||a|| t >= b   ->   -a · x + ||a|| t <= -b, each row scaled
+    # by 1/||a|| so the solver's tolerances hold at any coefficient scale.
+    for row, offset in zip(-A / norms[:, None], -b / norms):
+        constraints.append(([*row, 1.0], float(offset)))
     # Keep the witness off the box boundary as well:  x_i ± t within bounds.
     for i in range(dim):
         grow = [0.0] * (dim + 1)

@@ -30,35 +30,37 @@ Three subcommands drive the service end-to-end (``python -m repro.service``):
         python -m repro.service delete --snapshot idx.rprs --record-id 17
 
 ``serve``
-    A long-running loop reading JSON queries from stdin, one per line
-    (``{"focal": 5, "tau": 1}`` or ``{"focal": [0.4, 0.3, 0.3]}``), writing
-    JSON answers to stdout — the minimal shape of a network service without
-    binding the library to any transport.  Mutation requests ride the same
-    loop: ``{"cmd": "insert", "record": [0.4, 0.2, 0.7]}`` and
-    ``{"cmd": "delete", "record_id": 17}`` mutate the served dataset
-    between queries and answer with the new size plus the scoped
-    cache-invalidation counters::
+    A long-running server of one newline-delimited JSON protocol: a
+    ``{"ready": ...}`` greeting, then one JSON answer per request line
+    (``{"focal": 5, "tau": 1}`` or ``{"focal": [0.4, 0.3, 0.3]}``), then a
+    ``{"shutdown": ...}`` farewell.  Without ``--listen`` the protocol runs
+    as one connection over stdin/stdout::
 
         printf '{"focal": 5}\n{"focal": 5}\n' | \
             python -m repro.service serve --snapshot idx.rprs
 
-    With ``--listen HOST:PORT`` the same protocol is served over TCP to
-    many concurrent clients: requests route through a consistent-hash
-    sharded front (``--shard NAME=PATH``, repeatable; requests address a
-    shard with ``{"dataset": "name", ...}``) and an admission layer that
-    coalesces duplicate in-flight queries (single-flight) and batches
-    distinct concurrent ones into ``query_batch`` waves::
+    With ``--listen HOST:PORT`` the same protocol is served over TCP, one
+    connection per concurrent client::
 
         python -m repro.service serve --listen 127.0.0.1:7117 \
             --shard nba=nba.rprs --shard hotel=hotel.rprs
 
-    Introspection verbs ride the same loop in both modes:
-    ``{"cmd": "stats"}`` returns the raw per-layer counters,
-    ``{"cmd": "metrics"}`` one consolidated serving snapshot plus the
-    metrics registry, and ``{"cmd": "trace"}`` answers the query *and*
-    attaches its complete span tree (render with ``tools/trace_view.py``).
-    ``--metrics-port`` additionally exposes the registry in Prometheus
-    text format over HTTP (``GET /metrics``), and
+    Both modes run the same backend.  Requests route through a
+    consistent-hash sharded front (``--snapshot`` and ``--shard NAME=PATH``,
+    repeatable; a request names its shard with ``{"dataset": "name", ...}``
+    unless only one is served) and an admission layer that coalesces
+    duplicate in-flight queries (single-flight) and batches distinct
+    concurrent ones into ``query_batch`` waves.  Every shard is loaded
+    before the greeting.  Mutation requests ride the same protocol:
+    ``{"cmd": "insert", "record": [0.4, 0.2, 0.7]}`` and
+    ``{"cmd": "delete", "record_id": 17}`` mutate a shard between queries
+    and answer with the new size plus the scoped cache-invalidation
+    counters.  Introspection verbs too: ``{"cmd": "stats"}`` returns the
+    raw per-layer counters, ``{"cmd": "metrics"}`` one consolidated
+    serving snapshot plus the metrics registry, and ``{"cmd": "trace"}``
+    answers the query *and* attaches its complete span tree (render with
+    ``tools/trace_view.py``).  ``--metrics-port`` additionally exposes the
+    registry in Prometheus text format over HTTP (``GET /metrics``), and
     ``--slow-query-threshold S`` traces every query, dumping the span
     tree of any that take ``>= S`` seconds as one structured log line.
 
@@ -68,8 +70,9 @@ command exits non-zero with a one-line ``error: {"code": ..., "message":
 ``--timeout`` budget, 2 for any other :class:`~repro.errors.ReproError`.
 ``serve`` isolates requests: a malformed or failing request answers
 ``{"error": {"code": ..., "message": ...}}`` on its own line and the loop
-keeps serving; SIGTERM / SIGINT drain gracefully (finish the in-flight
-request, emit a ``{"shutdown": ...}`` line, exit 0).
+keeps serving; SIGTERM / SIGINT drain gracefully (finish the requests
+already received, send every connection its ``{"shutdown": ...}``
+farewell, exit 0).
 """
 
 from __future__ import annotations
@@ -77,9 +80,11 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
-import selectors
+import select
 import signal
+import socket
 import sys
 import threading
 import time
@@ -262,7 +267,7 @@ def _delete(args: argparse.Namespace) -> int:
 
 
 def _answer_payload(result, cache_hit: bool) -> dict:
-    """The JSON answer of one query (shared by stdin and TCP serving)."""
+    """The JSON answer of one served query."""
     return {
         "k_star": result.k_star,
         "regions": result.region_count,
@@ -278,16 +283,63 @@ def _answer_payload(result, cache_hit: bool) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    """A JSON number: ``int`` or ``float``, never ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _as_float(value) -> float:
+    """A JSON number as a float; an integer beyond the float range reads as
+    ±inf, exactly as the same number written as a float (``1e400``) does."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _number_list(value, field: str) -> np.ndarray:
+    """A flat list of JSON numbers as a float vector.
+
+    Strict on purpose, like ``tau``: a bool, a string or a nested list is
+    rejected rather than read as a coordinate (``true`` is not 1.0 and
+    ``"0.4"`` is not 0.4).
+    """
+    if not isinstance(value, list) or not all(_is_number(v) for v in value):
+        raise ValueError(f"{field} must be a flat list of numbers")
+    return np.array([_as_float(v) for v in value], dtype=float)
+
+
 def _parse_focal(request: dict):
+    """The request's focal: a record index or a flat list of coordinates."""
     focal = request["focal"]
+    if isinstance(focal, int) and not isinstance(focal, bool):
+        return focal
     if isinstance(focal, list):
-        focal = np.asarray(focal, dtype=float)
-    return focal
+        return _number_list(focal, "focal")
+    raise ValueError(
+        "focal must be a record index or a flat list of numbers, "
+        f"got a JSON {type(focal).__name__}"
+    )
 
 
 def _parse_tau(request: dict) -> int:
     """The request's ``tau``, validated as given: never coerced by ``int()``."""
     return validate_tau(request.get("tau", 0))
+
+
+def _parse_timeout(request: dict, default: Optional[float]) -> Optional[float]:
+    """The request's ``timeout`` in seconds: a JSON number, or ``null`` for
+    no budget; without the field the server's ``--timeout`` applies."""
+    if "timeout" not in request:
+        return default
+    timeout = request["timeout"]
+    if timeout is None:
+        return None
+    if not _is_number(timeout):
+        raise ValueError(
+            f"timeout must be a number of seconds, got a JSON {type(timeout).__name__}"
+        )
+    return _as_float(timeout)
 
 
 class _ServeObservability:
@@ -375,17 +427,65 @@ def _start_metrics_http(registry: MetricsRegistry, port: int):
     return server
 
 
-class _ObservedBackend:
-    """The query/trace/metrics surface shared by both serve backends.
+class _RouterBackend:
+    """The serve protocol over a :class:`DatasetRouter`: one per process.
 
-    Subclasses implement ``_query(request, tracer) -> (payload, shard)``
-    and ``_serving_view()``; this base adds the wall-clock timing, the
-    per-shard latency metrics, the slow-query log, and the ``trace`` /
-    ``metrics`` protocol verbs on top.
+    Every connection shares it — the one stdin connection, or every TCP
+    client.  A request may name its shard with a ``"dataset"`` field; it
+    may omit it when the router serves exactly one.  On top of the verbs
+    sit the wall-clock timing, the per-shard latency metrics and the
+    slow-query log, and :meth:`handle_line` / :meth:`error_line` /
+    :meth:`greeting` / :meth:`farewell` are the callables of the line
+    protocol (:class:`~repro.service.transport.LineProtocol`).
     """
 
-    obs: _ServeObservability
+    def __init__(self, router, default_timeout: Optional[float] = None,
+                 obs: Optional[_ServeObservability] = None):
+        self.router = router
+        self.default_timeout = default_timeout
+        self.obs = obs if obs is not None else _ServeObservability()
+        #: the line protocol serving this backend, attached by ``_serve``
+        #: once built, so the consolidated snapshot includes its totals
+        self.server = None
+        #: the Prometheus port, attached by ``_serve`` for the greeting
+        self.metrics_port: Optional[int] = None
+        self.served = 0
+        self._served_lock = threading.Lock()
 
+    # -------------------------------------------------------- line protocol
+    def handle_line(self, line: str) -> tuple:
+        """One request line in; ``(reply line or None, quit)`` out."""
+        try:
+            request = json.loads(line)
+        except RecursionError:
+            raise ValueError("request nests too deeply") from None
+        payload, quit_ = _handle_request(self, request)
+        return (None if payload is None else json.dumps(payload)), quit_
+
+    def error_line(self, exc: BaseException) -> str:
+        """The reply line of a failed request (request isolation)."""
+        payload = _error_payload(exc)
+        self.obs.observe_error(payload["code"])
+        return json.dumps({"error": payload})
+
+    def greeting(self) -> str:
+        meta = {
+            "ready": True,
+            "datasets": list(self.router.dataset_ids),
+            "slots": len(self.router.slots),
+        }
+        if self.metrics_port is not None:
+            meta["metrics_port"] = self.metrics_port
+        return json.dumps(meta)
+
+    def farewell(self, reason: str) -> str:
+        return json.dumps({
+            "shutdown": True,
+            "reason": reason,
+            "queries_answered": self.served,
+        })
+
+    # ---------------------------------------------------------------- verbs
     def query(self, request: dict) -> dict:
         return self._observed(request, want_trace=False)
 
@@ -396,10 +496,62 @@ class _ObservedBackend:
     def metrics(self, request: dict) -> dict:
         """One coherent snapshot: consolidated stats + the registry."""
         return {
-            "serving": self._serving_view(),
+            "serving": serving_snapshot(self.router, self.server),
             "metrics": self.obs.registry.snapshot(),
             "slow_queries": self.obs.slow_queries,
         }
+
+    def stats(self, request: dict) -> dict:
+        return self.router.stats()
+
+    def insert(self, request: dict) -> dict:
+        dataset = self._dataset(request)
+        new_id = self.router.insert(
+            dataset, _number_list(request["record"], "record")
+        )
+        return _mutation_summary(
+            self.router.service(dataset), "inserted",
+            {"dataset": dataset, "record_id": new_id},
+        )
+
+    def delete(self, request: dict) -> dict:
+        dataset = self._dataset(request)
+        record_id = request["record_id"]
+        self.router.delete(dataset, record_id)
+        return _mutation_summary(
+            self.router.service(dataset), "deleted",
+            {"dataset": dataset, "record_id": int(record_id)},
+        )
+
+    # ------------------------------------------------------------- internal
+    def _dataset(self, request: dict) -> str:
+        dataset = request.get("dataset")
+        if isinstance(dataset, str):
+            return dataset
+        if dataset is not None:
+            raise ValueError(
+                f"dataset must be a shard name, got a JSON {type(dataset).__name__}"
+            )
+        ids = self.router.dataset_ids
+        if len(ids) == 1:
+            return ids[0]
+        raise ValueError(
+            "request must name a dataset "
+            f"(\"dataset\": ...); this server has: {', '.join(ids)}"
+        )
+
+    def _query(self, request: dict, tracer: Optional[Tracer]) -> tuple:
+        dataset = self._dataset(request)
+        result, cache_hit = self.router.query(
+            dataset,
+            _parse_focal(request),
+            tau=_parse_tau(request),
+            timeout=_parse_timeout(request, self.default_timeout),
+            tracer=tracer,
+        )
+        with self._served_lock:
+            self.served += 1
+        return _answer_payload(result, cache_hit), dataset
 
     def _observed(self, request: dict, want_trace: bool) -> dict:
         obs = self.obs
@@ -423,113 +575,8 @@ class _ObservedBackend:
         return payload
 
 
-class _ServiceBackend(_ObservedBackend):
-    """Serve-protocol backend over one :class:`MaxRankService` (stdin mode)."""
-
-    def __init__(self, service: MaxRankService, default_timeout: Optional[float],
-                 obs: Optional[_ServeObservability] = None):
-        self.service = service
-        self.default_timeout = default_timeout
-        self.obs = obs if obs is not None else _ServeObservability()
-        self.served = 0
-
-    def _query(self, request: dict, tracer: Optional[Tracer]) -> tuple:
-        hits_before = self.service.cache.hits
-        result = self.service.query(
-            _parse_focal(request),
-            tau=_parse_tau(request),
-            timeout=request.get("timeout", self.default_timeout),
-            tracer=tracer,
-        )
-        self.served += 1
-        payload = _answer_payload(result, self.service.cache.hits > hits_before)
-        return payload, self.service.dataset.name
-
-    def _serving_view(self) -> dict:
-        return self.service.stats()
-
-    def insert(self, request: dict) -> dict:
-        new_id = self.service.insert(np.asarray(request["record"], dtype=float))
-        return _mutation_summary(self.service, "inserted", {"record_id": new_id})
-
-    def delete(self, request: dict) -> dict:
-        record_id = request["record_id"]
-        self.service.delete(record_id)
-        return _mutation_summary(
-            self.service, "deleted", {"record_id": int(record_id)}
-        )
-
-    def stats(self, request: dict) -> dict:
-        return self.service.stats()
-
-
-class _RouterBackend(_ObservedBackend):
-    """Serve-protocol backend over a :class:`DatasetRouter` (network mode).
-
-    Identical request schema plus an optional ``"dataset"`` field naming
-    the shard; it may be omitted when the router serves exactly one.
-    """
-
-    def __init__(self, router, default_timeout: Optional[float],
-                 obs: Optional[_ServeObservability] = None):
-        self.router = router
-        self.default_timeout = default_timeout
-        self.obs = obs if obs is not None else _ServeObservability()
-        #: transport server, attached by ``_serve_listen`` once bound, so
-        #: the consolidated snapshot can include connection totals
-        self.server = None
-        self.served = 0
-        self._served_lock = threading.Lock()
-
-    def _dataset(self, request: dict) -> str:
-        dataset = request.get("dataset")
-        if dataset is not None:
-            return str(dataset)
-        ids = self.router.dataset_ids
-        if len(ids) == 1:
-            return ids[0]
-        raise ValueError(
-            "request must name a dataset "
-            f"(\"dataset\": ...); this server has: {', '.join(ids)}"
-        )
-
-    def _query(self, request: dict, tracer: Optional[Tracer]) -> tuple:
-        dataset = self._dataset(request)
-        result, cache_hit = self.router.query(
-            dataset,
-            _parse_focal(request),
-            tau=_parse_tau(request),
-            timeout=request.get("timeout", self.default_timeout),
-            tracer=tracer,
-        )
-        with self._served_lock:
-            self.served += 1
-        return _answer_payload(result, cache_hit), dataset
-
-    def _serving_view(self) -> dict:
-        return serving_snapshot(self.router, self.server)
-
-    def insert(self, request: dict) -> dict:
-        dataset = self._dataset(request)
-        new_id = self.router.insert(
-            dataset, np.asarray(request["record"], dtype=float)
-        )
-        return _mutation_summary(
-            self.router.service(dataset), "inserted",
-            {"dataset": dataset, "record_id": new_id},
-        )
-
-    def delete(self, request: dict) -> dict:
-        dataset = self._dataset(request)
-        record_id = request["record_id"]
-        self.router.delete(dataset, record_id)
-        return _mutation_summary(
-            self.router.service(dataset), "deleted",
-            {"dataset": dataset, "record_id": int(record_id)},
-        )
-
-    def stats(self, request: dict) -> dict:
-        return self.router.stats()
+#: Verbs a request may name in its ``"cmd"`` field; without one it is a query.
+_VERBS = ("stats", "metrics", "trace", "quit", "insert", "delete")
 
 
 def _handle_request(backend, request) -> tuple:
@@ -539,121 +586,45 @@ def _handle_request(backend, request) -> tuple:
             "request must be a JSON object, e.g. {\"focal\": 5}"
         )
     cmd = request.get("cmd")
-    if cmd == "stats":
-        return backend.stats(request), False
-    if cmd == "metrics":
-        return backend.metrics(request), False
-    if cmd == "trace":
-        return backend.trace(request), False
+    if cmd is None:
+        return backend.query(request), False
+    if cmd not in _VERBS:
+        raise ValueError(f"unknown cmd; choose one of {', '.join(_VERBS)}")
     if cmd == "quit":
         return None, True
-    if cmd == "insert":
-        return backend.insert(request), False
-    if cmd == "delete":
-        return backend.delete(request), False
-    return backend.query(request), False
+    return getattr(backend, cmd)(request), False
 
 
-def _request_lines(should_stop):
-    """Yield stdin lines, polling so a drain signal is honoured promptly.
+class _StdioConnection:
+    """stdin/stdout as one connection of the line protocol.
 
-    A plain ``for line in sys.stdin`` blocks in a buffered read that a
-    signal handler cannot interrupt (PEP 475 restarts it), so a SIGTERM
-    would only take effect at the *next* request.  When stdin has a real
-    file descriptor we poll it with a selector and do our own line
-    splitting; otherwise (in-process tests feeding a ``StringIO``) we fall
-    back to plain iteration with a per-line stop check.
+    ``recv`` polls stdin with ``select`` — which works on pipes, ttys and
+    regular files alike — so a drain signal is honoured within one poll
+    instead of waiting in a read that PEP 475 restarts.  A stdin without a
+    file descriptor (in-process tests feeding a ``StringIO``) is read one
+    line per ``recv``.
     """
-    try:
-        fd = sys.stdin.fileno()
-    except (AttributeError, OSError, ValueError, io.UnsupportedOperation):
-        for line in sys.stdin:
-            if should_stop():
-                return
-            yield line
-        return
-    sel = selectors.DefaultSelector()
-    sel.register(fd, selectors.EVENT_READ)
-    buffer = b""
-    try:
-        while not should_stop():
-            if not sel.select(0.2):
-                continue
-            chunk = os.read(fd, 65536)
-            if not chunk:
-                if buffer.strip():
-                    yield buffer.decode("utf-8", "replace")
-                return
-            buffer += chunk
-            while b"\n" in buffer:
-                line, buffer = buffer.split(b"\n", 1)
-                yield line.decode("utf-8", "replace")
-                if should_stop():
-                    return
-    finally:
-        sel.close()
 
+    POLL_S = 0.2
 
-def _serve_stdin(args: argparse.Namespace) -> int:
-    draining = {"flag": False, "signal": None}
-
-    def _drain(signum, frame):
-        draining["flag"] = True
-        draining["signal"] = signal.Signals(signum).name
-
-    previous = {}
-    for signum in (signal.SIGTERM, signal.SIGINT):
+    def __init__(self, stdin, stdout) -> None:
+        self._stdin = stdin
+        self._stdout = stdout
         try:
-            previous[signum] = signal.signal(signum, _drain)
-        except (ValueError, OSError):  # not the main thread / unsupported
-            pass
+            self._fd: Optional[int] = stdin.fileno()
+        except (AttributeError, OSError, ValueError, io.UnsupportedOperation):
+            self._fd = None
 
-    obs = _ServeObservability(args.slow_query_threshold)
-    metrics_server = None
-    if args.metrics_port is not None:
-        metrics_server = _start_metrics_http(obs.registry, args.metrics_port)
-    try:
-        with MaxRankService.from_snapshot(
-            args.snapshot, cache_size=args.cache_size
-        ) as service:
-            backend = _ServiceBackend(service, args.timeout, obs)
-            meta = {
-                "ready": True,
-                "dataset": service.dataset.name,
-                "n": service.dataset.n,
-                "d": service.dataset.d,
-            }
-            if metrics_server is not None:
-                meta["metrics_port"] = metrics_server.server_address[1]
-            print(json.dumps(meta), flush=True)
-            for line in _request_lines(lambda: draining["flag"]):
-                line = line.strip()
-                if not line:
-                    continue
-                # Request isolation: any failure answers a structured error
-                # on the request's own line and the loop keeps serving.
-                try:
-                    payload, quit_ = _handle_request(backend, json.loads(line))
-                    if quit_:
-                        break
-                    print(json.dumps(payload), flush=True)
-                except (ReproError, KeyError, ValueError, TypeError) as exc:
-                    payload = _error_payload(exc)
-                    obs.observe_error(payload["code"])
-                    print(json.dumps({"error": payload}), flush=True)
-            shutdown = {
-                "shutdown": True,
-                "reason": draining["signal"] or "eof",
-                "queries_answered": backend.served,
-            }
-            print(json.dumps(shutdown), flush=True)
-    finally:
-        if metrics_server is not None:
-            metrics_server.shutdown()
-            metrics_server.server_close()
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-    return 0
+    def recv(self, size: int) -> bytes:
+        if self._fd is None:
+            return self._stdin.readline().encode("utf-8")
+        if not select.select([self._fd], [], [], self.POLL_S)[0]:
+            raise socket.timeout
+        return os.read(self._fd, size)
+
+    def sendall(self, data: bytes) -> None:
+        self._stdout.write(data.decode("utf-8"))
+        self._stdout.flush()
 
 
 def _parse_shards(args: argparse.Namespace) -> dict:
@@ -673,60 +644,49 @@ def _parse_shards(args: argparse.Namespace) -> dict:
             raise AlgorithmError(f"duplicate shard name {name!r}")
         shards[name] = path
     if not shards:
-        raise AlgorithmError("serve --listen needs --snapshot or --shard")
+        raise AlgorithmError("serve needs --snapshot or --shard")
     return shards
 
 
-def _serve_listen(args: argparse.Namespace) -> int:
-    """The network front: transport -> router -> admission -> services."""
-    from .router import DatasetRouter
-    from .transport import ThreadedLineServer, parse_hostport
+def _serve(args: argparse.Namespace) -> int:
+    """One serve loop: line protocol -> router -> admission -> services.
 
-    host, port = parse_hostport(args.listen)
-    shards = _parse_shards(args)
+    With ``--listen`` the accept loop runs the line protocol once per TCP
+    client; without it the protocol runs once, on this thread, over
+    stdin/stdout.
+    """
+    from .router import DatasetRouter
+    from .transport import LineProtocol, ThreadedLineServer, parse_hostport
+
+    address = parse_hostport(args.listen) if args.listen else None
     with DatasetRouter(
-        shards,
+        _parse_shards(args),
         slots=args.slots,
         wave_size=args.wave_size,
         wave_window_s=args.wave_window,
         jobs=args.jobs,
         service_options={"cache_size": args.cache_size},
     ) as router:
+        # Load every shard before the first line: a missing or corrupt
+        # snapshot exits 2 (code "snapshot") before anything is served.
+        for dataset_id in router.dataset_ids:
+            router.service(dataset_id)
         obs = _ServeObservability(args.slow_query_threshold)
         backend = _RouterBackend(router, args.timeout, obs)
-
-        def handler(line: str):
-            payload, quit_ = _handle_request(backend, json.loads(line))
-            return (None if payload is None else json.dumps(payload)), quit_
-
-        def greeting() -> str:
-            return json.dumps({
-                "ready": True,
-                "datasets": list(router.dataset_ids),
-                "slots": args.slots,
-            })
-
-        def farewell(reason: str):
-            return json.dumps({
-                "shutdown": True,
-                "reason": reason,
-                "queries_answered": backend.served,
-            })
-
-        def on_error(exc: BaseException) -> str:
-            payload = _error_payload(exc)
-            obs.observe_error(payload["code"])
-            return json.dumps({"error": payload})
-
-        server = ThreadedLineServer(
-            host, port, handler,
-            greeting=greeting, farewell=farewell, on_error=on_error,
+        protocol = dict(
+            greeting=backend.greeting, farewell=backend.farewell,
+            on_error=backend.error_line,
         )
+        if address is not None:
+            server = ThreadedLineServer(*address, backend.handle_line, **protocol)
+        else:
+            server = LineProtocol(backend.handle_line, **protocol)
         backend.server = server
         install_serving_collector(obs.registry, router, server)
         metrics_server = None
         if args.metrics_port is not None:
             metrics_server = _start_metrics_http(obs.registry, args.metrics_port)
+            backend.metrics_port = metrics_server.server_address[1]
 
         def _drain(signum, frame):
             server.shutdown(signal.Signals(signum).name)
@@ -738,42 +698,35 @@ def _serve_listen(args: argparse.Namespace) -> int:
             except (ValueError, OSError):  # not the main thread / unsupported
                 pass
         try:
-            # The bound address on stdout lets a parent process (tests, the
-            # CI smoke) learn the kernel-picked port when --listen used :0.
-            listening = {
-                "listening": list(server.address),
-                "datasets": list(router.dataset_ids),
-            }
-            if metrics_server is not None:
-                listening["metrics_port"] = metrics_server.server_address[1]
-            print(json.dumps(listening), flush=True)
-            server.serve_forever()
+            if address is None:
+                server.serve_connection(_StdioConnection(sys.stdin, sys.stdout))
+            else:
+                # The bound address on stdout lets a parent process (tests,
+                # the CI smoke) learn the kernel-picked port of --listen :0.
+                listening = {
+                    "listening": list(server.address),
+                    "datasets": list(router.dataset_ids),
+                }
+                if backend.metrics_port is not None:
+                    listening["metrics_port"] = backend.metrics_port
+                print(json.dumps(listening), flush=True)
+                server.serve_forever()
         finally:
             if metrics_server is not None:
                 metrics_server.shutdown()
                 metrics_server.server_close()
-            for signum, handler_ in previous.items():
-                signal.signal(signum, handler_)
-        print(json.dumps({
-            "shutdown": True,
-            "reason": server.drain_reason,
-            "connections": server.connections_accepted,
-            "requests": server.requests_handled,
-            "queries_answered": backend.served,
-            "slow_queries": obs.slow_queries,
-        }), flush=True)
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
+        if address is not None:
+            print(json.dumps({
+                "shutdown": True,
+                "reason": server.drain_reason,
+                "connections": server.connections_accepted,
+                "requests": server.requests_handled,
+                "queries_answered": backend.served,
+                "slow_queries": obs.slow_queries,
+            }), flush=True)
     return 0
-
-
-def _serve(args: argparse.Namespace) -> int:
-    if args.listen:
-        return _serve_listen(args)
-    if args.shard:
-        raise AlgorithmError("--shard requires --listen (stdin mode serves "
-                            "exactly the --snapshot dataset)")
-    if not args.snapshot:
-        raise AlgorithmError("serve needs --snapshot (or --listen with --shard)")
-    return _serve_stdin(args)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -850,8 +803,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve", help="serve JSON queries from stdin or over TCP (--listen)"
     )
     serve.add_argument("--snapshot", default=None,
-                       help="snapshot to serve (stdin mode: required; with "
-                            "--listen it becomes a shard named after the file)")
+                       help="snapshot to serve, as a shard named after the "
+                            "file")
     serve.add_argument("--cache-size", type=int, default=256)
     serve.add_argument("--timeout", type=float, default=None, metavar="S",
                        help="default per-request wall-clock budget in seconds "
@@ -861,8 +814,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "stdin (port 0 = kernel-picked, reported on stdout)")
     serve.add_argument("--shard", action="append", metavar="NAME=PATH",
                        help="add a dataset shard served from PATH under the id "
-                            "NAME (repeatable; requires --listen); requests "
-                            "pick a shard with their \"dataset\" field")
+                            "NAME (repeatable); requests pick a shard with "
+                            "their \"dataset\" field")
     serve.add_argument("--slots", type=int, default=2,
                        help="admission slots on the consistent-hash ring "
                             "(default 2)")
@@ -877,7 +830,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
                        help="expose the metrics registry in Prometheus text "
                             "format on http://127.0.0.1:PORT/metrics "
-                            "(0 = kernel-picked, reported in the ready line)")
+                            "(0 = kernel-picked, reported in the greeting)")
     serve.add_argument("--slow-query-threshold", type=float, default=None,
                        metavar="S",
                        help="trace every query and log the full span tree of "

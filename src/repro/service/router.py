@@ -174,6 +174,11 @@ class DatasetRouter:
     def dataset_ids(self) -> Tuple[str, ...]:
         return tuple(sorted(self._shards))
 
+    @property
+    def slots(self) -> Tuple[str, ...]:
+        """The admission slots on the ring, in order."""
+        return self._ring.slots
+
     def slot_for(self, dataset_id: str) -> str:
         """The admission slot serving ``dataset_id``."""
         self._check_known(dataset_id)

@@ -561,8 +561,20 @@ class TestCliFailureContract:
             '{"focal": 5, "tau": 1.7}',
             '{"focal": 5, "tau": true}',
             '{"focal": true}',
+            # ... nor read as coordinates, a record or a budget.
+            '{"focal": [[0.4], [0.3], [0.3]]}',
+            '{"focal": ["0.4", "0.3", "0.3"]}',
+            '{"focal": [true, 0.3, 0.3]}',
+            '{"cmd": "insert", "record": ["0.4", true, "0.7"]}',
+            '{"focal": 5, "timeout": true}',
+            '{"focal": 5, "timeout": "5"}',
+            '{"dataset": 3, "focal": 5}',
+            # Too deep for the JSON decoder: a bad request, not a crash.
+            "[" * 100000,
             '{"focal": 9, "timeout": 1e-9}',
-            '{"focal": 5}',
+            # An integer budget beyond the float range is a budget, as
+            # 1e400 is: no OverflowError.
+            '{"focal": 5, "timeout": 1' + "0" * 400 + "}",
             '{"cmd": "quit"}',
         ]) + "\n"
         run = self._run("serve", "--snapshot", str(snapshot), stdin=lines)
@@ -570,12 +582,13 @@ class TestCliFailureContract:
         out = [json.loads(line) for line in run.stdout.splitlines()]
         assert out[0]["ready"] is True
         assert "k_star" in out[1]
-        for bad in out[2:7]:
+        for bad in out[2:15]:
             assert bad["error"]["code"] == "bad_request"
-        assert out[7]["error"]["code"] == "timeout"
-        assert out[8]["cache_hit"] is True  # the loop kept serving
-        assert out[9]["shutdown"] is True and out[9]["reason"] == "eof"
-        assert out[9]["queries_answered"] == 2
+        assert out[15]["error"]["code"] == "timeout"
+        assert out[16]["cache_hit"] is True  # the loop kept serving
+        assert out[17]["shutdown"] is True and out[17]["reason"] == "quit"
+        assert out[17]["queries_answered"] == 2
+        assert len(out) == 18
 
     def test_serve_drains_gracefully_on_sigterm(self, snapshot):
         env = dict(os.environ)

@@ -101,6 +101,28 @@ class TestFindInteriorPoint:
                 for h in halfspaces:
                     assert h.evaluate(result.point) > 0
 
+    #: ``(a1, a2, b)`` rows of ``scale * a1 * x1 + a2 * x2 > b``: the cells
+    #: of a focal record far outside the data's range have such rows.
+    SCALED_ROWS = [(1.0, -0.063, 0.887), (1.0, -0.443, 0.505),
+                   (1.0, -0.444, 0.345), (1.0, 0.325, 0.696),
+                   (1.0, 0.248, 0.911), (1.0, -0.205, 0.325),
+                   (1.0, 0.977, 0.988), (1.0, 0.379, 0.924),
+                   (1.0, -0.780, 0.171)]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e9, 1e15, 1e18])
+    def test_row_scale_does_not_change_feasibility(self, scale):
+        """A row's scale does not change its half-space; the solver must
+        find the same non-empty region at every scale."""
+        halfspaces = [
+            Halfspace([1.0, 0.0], 0.0),
+            Halfspace([0.0, 1.0], 0.0),
+            Halfspace([-1.0, -1.0], -1.0),
+        ] + [Halfspace([scale * a1, a2], b) for a1, a2, b in self.SCALED_ROWS]
+        result = find_interior_point(halfspaces, [0.0, 0.0], [1.0, 1.0])
+        assert result.feasible
+        for h in halfspaces:
+            assert h.evaluate(result.point) > 0
+
     def test_radius_reported_positive_when_feasible(self):
         h = Halfspace([1.0, 1.0], 0.5)
         result = find_interior_point([h], [0.0, 0.0], [1.0, 1.0])

@@ -413,12 +413,13 @@ class TestServingSnapshot:
 class TestServeVerbs:
     @pytest.fixture
     def backend(self):
-        from repro.service.cli import _ServeObservability, _ServiceBackend
+        from repro.service.cli import _RouterBackend
         from repro.service.core import MaxRankService
+        from repro.service.router import DatasetRouter
 
         service = MaxRankService(generate("IND", 80, 3, seed=17))
-        yield _ServiceBackend(service, None, _ServeObservability())
-        service.close()
+        with DatasetRouter({"ind": service}) as router:
+            yield _RouterBackend(router)
 
     def test_trace_verb_returns_answer_plus_span_tree(self, backend):
         from repro.service.cli import _handle_request
@@ -430,7 +431,8 @@ class TestServeVerbs:
         )
         assert traced["k_star"] >= 1
         names = {span["name"] for span in traced["trace"]["spans"]}
-        assert {"request", "service.query", "compute", "skyline"} <= names
+        assert {"request", "admission.submit", "service.query", "compute",
+                "skyline"} <= names
 
     def test_metrics_verb_is_one_coherent_snapshot(self, backend):
         from repro.service.cli import _handle_request
@@ -440,7 +442,7 @@ class TestServeVerbs:
         answer, _ = _handle_request(backend, {"cmd": "metrics"})
         assert answer["serving"]["queries_served"] == 2
         assert answer["serving"]["cache_hits"] == 1
-        shard = backend.service.dataset.name
+        shard = "ind"
         assert answer["metrics"][
             f'repro_requests_total{{shard="{shard}"}}'] == 2
         assert answer["metrics"][
@@ -448,9 +450,10 @@ class TestServeVerbs:
 
     def test_slow_threshold_traces_and_logs_every_query(self):
         from repro.service.cli import (
-            _ServeObservability, _ServiceBackend, _handle_request,
+            _handle_request, _RouterBackend, _ServeObservability,
         )
         from repro.service.core import MaxRankService
+        from repro.service.router import DatasetRouter
 
         buf = io.StringIO()
         handler = logging.StreamHandler(buf)
@@ -458,9 +461,10 @@ class TestServeVerbs:
         logger = get_logger("repro.serve")
         logger.addHandler(handler)
         try:
-            with MaxRankService(generate("IND", 80, 3, seed=17)) as service:
+            service = MaxRankService(generate("IND", 80, 3, seed=17))
+            with DatasetRouter({"ind": service}) as router:
                 obs = _ServeObservability(slow_threshold=0.0)
-                backend = _ServiceBackend(service, None, obs)
+                backend = _RouterBackend(router, None, obs)
                 payload, _ = _handle_request(backend, {"focal": 5, "tau": 1})
                 assert "trace" not in payload  # plain answer stays plain
         finally:

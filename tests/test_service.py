@@ -298,7 +298,9 @@ class TestServiceCliInProcess:
         assert "k_star" in lines[1]
         assert "error" in lines[2]          # malformed request is answered, not fatal
         assert "error" in lines[3]          # valid JSON but not an object: same
-        assert lines[4]["queries_served"] == 1
+        assert lines[4]["services"]["cli"]["queries_served"] == 1
+        assert lines[5] == {"shutdown": True, "reason": "quit",
+                            "queries_answered": 1}
 
     def test_build_real_dataset(self, tmp_path, capsys):
         from repro.service.cli import main
@@ -358,7 +360,8 @@ class TestServiceCli:
         assert ready["ready"] is True
         assert first["k_star"] == second["k_star"]
         assert first["cache_hit"] is False and second["cache_hit"] is True
-        assert stats["queries_served"] == 2 and stats["queries_computed"] == 1
+        shard = stats["services"][snapshot.stem]
+        assert shard["queries_served"] == 2 and shard["queries_computed"] == 1
 
     def test_missing_snapshot_is_a_clean_error(self, tmp_path):
         run = self._run("query", "--snapshot", str(tmp_path / "none.rprs"))
@@ -388,6 +391,106 @@ class TestServiceCli:
         assert "k_star" in out[1]
         assert out[2]["error"]["code"] == "bad_request"
         assert out[3]["shutdown"] is True and out[3]["reason"] == "eof"
+
+    def test_serve_reads_stdin_from_a_regular_file(self, snapshot, tmp_path):
+        """``serve < requests.jsonl``: a regular file cannot be registered
+        with epoll, so stdin is polled with select; every line is answered."""
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            '{"focal": 5}\n{"focal": 5}\n{"focal": true}\n{"cmd": "stats"}\n'
+        )
+        env = dict(os.environ)
+        root = Path(__file__).resolve().parent.parent
+        env["PYTHONPATH"] = str(root / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        with open(requests, "rb") as stdin:
+            run = subprocess.run(
+                [sys.executable, "-m", "repro.service", "serve",
+                 "--snapshot", str(snapshot)],
+                stdin=stdin, capture_output=True, text=True, env=env,
+                timeout=300,
+            )
+        assert run.returncode == 0, run.stderr
+        out = [json.loads(line) for line in run.stdout.splitlines()]
+        assert out[0]["ready"] is True
+        assert out[1]["cache_hit"] is False and out[2]["cache_hit"] is True
+        assert out[3]["error"]["code"] == "bad_request"
+        assert out[4]["services"][snapshot.stem]["queries_served"] == 2
+        assert out[5] == {"shutdown": True, "reason": "eof",
+                          "queries_answered": 2}
+
+    #: One request script for the stdin/TCP parity check: queries, a repeat
+    #: that hits the cache, bad requests, stats, a wrong dataset and quit.
+    PARITY_SCRIPT = [
+        '{"focal": 5}',
+        '{"focal": 5}',
+        '{"focal": [0.4, 0.3, 0.3], "tau": 1}',
+        'not json',
+        '{"focal": 5, "tau": 1.5}',
+        '{"focal": ["0.4", "0.3", "0.3"]}',
+        '{"cmd": "insert", "record": [0.4, 0.2, 0.7]}',
+        '{"cmd": "stats"}',
+        '{"dataset": "nope", "focal": 5}',
+        '{"cmd": "delete", "record_id": 150}',
+        '{"focal": 7, "dataset": "%s"}',
+        '{"cmd": "quit"}',
+    ]
+
+    def test_stdin_and_tcp_give_identical_replies(self, snapshot):
+        """The one protocol: the same script through ``serve`` on stdin and
+        through one ``serve --listen`` connection gets the same replies,
+        greeting and farewell included."""
+        import socket
+
+        script = "".join(
+            line.replace("%s", snapshot.stem) + "\n"
+            for line in self.PARITY_SCRIPT
+        )
+        stdin_run = self._run("serve", "--snapshot", str(snapshot),
+                              stdin=script)
+        assert stdin_run.returncode == 0, stdin_run.stderr
+        stdin_replies = stdin_run.stdout.splitlines()
+
+        env = dict(os.environ)
+        root = Path(__file__).resolve().parent.parent
+        env["PYTHONPATH"] = str(root / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "serve",
+             "--listen", "127.0.0.1:0", "--snapshot", str(snapshot)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        )
+        try:
+            host, port = json.loads(proc.stdout.readline())["listening"]
+            with socket.create_connection((host, port), timeout=60) as sock:
+                sock.sendall(script.encode())
+                tcp_replies = sock.makefile("r").read().splitlines()
+            proc.terminate()
+            proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:  # pragma: no cover - cleanup on failure
+                proc.kill()
+                proc.communicate()
+
+        def normalised(lines):
+            """Parsed replies with the one wall-clock field zeroed."""
+            replies = [json.loads(line) for line in lines]
+            for reply in replies:
+                for shard in reply.get("services", {}).values():
+                    shard["build_wall_fraction"] = 0.0
+            return replies
+
+        # greeting + 11 replies (quit has none) + farewell
+        assert len(stdin_replies) == 13
+        assert normalised(stdin_replies) == normalised(tcp_replies)
+        replies = normalised(stdin_replies)
+        assert replies[2]["cache_hit"] is True
+        assert [r["error"]["code"] for r in replies[4:7]] == ["bad_request"] * 3
+        assert replies[9]["error"]["code"] == "bad_request"
+        assert replies[-1] == {"shutdown": True, "reason": "quit",
+                               "queries_answered": 4}
 
     def test_serve_listen_single_shard_and_sigterm(self, snapshot):
         """TCP mode subprocess smoke: kernel-picked port, a query without a

@@ -5,7 +5,8 @@ integration half wires the real CLI backend (router + admission +
 services) into the transport in-process and checks the acceptance
 contract: concurrent mixed-shard clients with a skewed hot-focal
 workload get answers bit-identical to standalone ``maxrank()``, with the
-single-flight counter showing real coalescing.
+single-flight counter showing real coalescing.  The fuzz half drives the
+line protocol once per example over a fake connection.
 """
 
 from __future__ import annotations
@@ -189,9 +190,7 @@ class TestServingEndToEnd:
 
     @pytest.fixture()
     def stack(self):
-        from repro.service.cli import (
-            _error_payload, _handle_request, _RouterBackend,
-        )
+        from repro.service.cli import _RouterBackend
 
         datasets = {
             "alpha": generate("IND", 130, 3, seed=61),
@@ -199,18 +198,11 @@ class TestServingEndToEnd:
         }
         shards = {name: MaxRankService(ds) for name, ds in datasets.items()}
         router = DatasetRouter(shards, slots=2, wave_window_s=0.05)
-        backend = _RouterBackend(router, None)
-
-        def handler(line: str):
-            payload, quit_ = _handle_request(backend, json.loads(line))
-            return (None if payload is None else json.dumps(payload)), quit_
-
+        backend = _RouterBackend(router)
         server = ThreadedLineServer(
-            "127.0.0.1", 0, handler,
-            greeting=lambda: json.dumps({"ready": True}),
-            farewell=lambda reason: json.dumps({"shutdown": True,
-                                                "reason": reason}),
-            on_error=lambda exc: json.dumps({"error": _error_payload(exc)}),
+            "127.0.0.1", 0, backend.handle_line,
+            greeting=backend.greeting, farewell=backend.farewell,
+            on_error=backend.error_line,
         )
         thread = _start(server)
         try:
@@ -319,15 +311,176 @@ class TestServingEndToEnd:
         assert unnamed["error"]["code"] == "bad_request"
         truncated = ask({"cmd": "delete", "dataset": "beta"})  # no record_id
         assert truncated["error"]["code"] == "bad_request"
-        # Loose types are rejected, never coerced to tau = 1 / record 1.
+        # Loose types are rejected, never coerced to tau = 1 / record 1,
+        # a coordinate, a record or a budget.
         for loose in ({"dataset": "alpha", "focal": 3, "tau": 1.7},
                       {"dataset": "alpha", "focal": 3, "tau": True},
-                      {"dataset": "alpha", "focal": True}):
-            assert ask(loose)["error"]["code"] == "bad_request"
+                      {"dataset": "alpha", "focal": True},
+                      {"dataset": "alpha", "focal": [[0.4], [0.3], [0.3]]},
+                      {"dataset": "alpha", "focal": ["0.4", "0.3", "0.3"]},
+                      {"dataset": "alpha", "focal": [True, 0.3, 0.3]},
+                      {"cmd": "insert", "dataset": "beta",
+                       "record": ["0.4", True, "0.7"]},
+                      {"dataset": "alpha", "focal": 3, "timeout": True},
+                      {"dataset": "alpha", "focal": 3, "timeout": "5"},
+                      {"dataset": 3, "focal": 3}):
+            assert ask(loose)["error"]["code"] == "bad_request", loose
+        # An integer budget beyond the float range is a budget, as 1e400
+        # is: no overflow reaches the client as an internal error.
+        huge = ask({"dataset": "alpha", "focal": 3, "tau": 1,
+                    "timeout": 10 ** 400})
+        assert huge["k_star"] == first["k_star"]
 
         # Still serving after every error (isolation), and stats flow.
         stats = ask({"cmd": "stats"})
-        # The valid queries plus the bool focal, which reaches its shard
-        # and fails there; a bad tau is refused before routing.
+        # Only the valid queries route: loose fields are refused at the
+        # protocol boundary, before routing.
         assert stats["routed"] == 3
+        assert stats["services"]["beta"]["n"] == datasets["beta"].n + 1
         sock.close()
+
+
+class _FakeConnection:
+    """A scripted connection: ``recv`` hands out the request bytes in
+    fixed-size chunks, then EOF; ``sendall`` collects the replies."""
+
+    def __init__(self, data: bytes, chunk: int = 7) -> None:
+        self._chunks = [data[i:i + chunk] for i in range(0, len(data), chunk)]
+        self.sent = b""
+
+    def recv(self, size: int) -> bytes:
+        return self._chunks.pop(0) if self._chunks else b""
+
+    def sendall(self, data: bytes) -> None:
+        self.sent += data
+
+
+#: Error codes a request may be answered with; ``internal`` is a bug.
+_REQUEST_ERROR_CODES = {"timeout", "snapshot", "worker_crash", "bad_request"}
+
+_FUZZ_DATASET = generate("IND", 30, 3, seed=71)
+
+
+def _edge_numbers():
+    """Numbers at the edges of the float and int64 ranges."""
+    from hypothesis import strategies as st
+
+    return st.sampled_from([0, -1, 2 ** 63, 10 ** 400, -(10 ** 400), 1e-300,
+                            float("inf"), float("nan")])
+
+
+def _json_values():
+    from hypothesis import strategies as st
+
+    scalars = (
+        st.none() | st.booleans() | st.integers() | _edge_numbers()
+        | st.floats() | st.text(max_size=6)
+    )
+    return st.recursive(
+        scalars,
+        lambda children: (
+            st.lists(children, max_size=4)
+            | st.dictionaries(st.text(max_size=4), children, max_size=3)
+        ),
+        max_leaves=8,
+    )
+
+
+def _request_objects():
+    """JSON objects whose protocol fields take arbitrary JSON values, mixed
+    with values that are valid, so requests also reach the shard."""
+    from hypothesis import strategies as st
+
+    anything = _json_values()
+    edge = _edge_numbers()
+    index = st.integers(-2, 35)
+    coordinates = st.lists(st.floats(-2.0, 2.0) | edge, min_size=3, max_size=3)
+    return st.fixed_dictionaries({
+        "focal": index | coordinates | edge | anything,
+    }, optional={
+        "cmd": st.sampled_from(["stats", "metrics", "trace", "insert",
+                                "delete", "quit"]) | anything,
+        "tau": st.integers(0, 3) | edge | anything,
+        "timeout": st.floats(1e-6, 60.0) | edge | anything,
+        "record": coordinates | coordinates | anything,
+        "record_id": index | edge | anything,
+        "dataset": st.just("fz") | st.just("fz") | anything,
+    })
+
+
+def _is_quit(line: str) -> bool:
+    try:
+        request = json.loads(line)
+    except (ValueError, RecursionError):
+        return False
+    return isinstance(request, dict) and request.get("cmd") == "quit"
+
+
+def _check_one_connection(lines) -> None:
+    """Run the real serve backend's line loop once over ``lines`` and check
+    the protocol: greeting, one reply per request line, farewell."""
+    from repro.service.cli import _RouterBackend
+    from repro.service.transport import LineProtocol
+
+    threads_before = threading.active_count()
+    service = MaxRankService(_FUZZ_DATASET)
+    with DatasetRouter({"fz": service}, wave_window_s=0.0) as router:
+        backend = _RouterBackend(router)
+        protocol = LineProtocol(
+            backend.handle_line, greeting=backend.greeting,
+            farewell=backend.farewell, on_error=backend.error_line,
+        )
+        conn = _FakeConnection("".join(line + "\n" for line in lines).encode())
+        protocol.serve_connection(conn)
+    replies = [json.loads(line) for line in conn.sent.decode().splitlines()]
+
+    requests, reason = [], "eof"
+    for line in lines:
+        if not line.encode().strip():
+            continue  # blank lines are skipped, not answered
+        if _is_quit(line):
+            reason = "quit"
+            break
+        requests.append(line)
+    assert replies[0]["ready"] is True
+    assert len(replies) == len(requests) + 2, (lines, replies)
+    for request, reply in zip(requests, replies[1:-1]):
+        assert isinstance(reply, dict), (request, reply)
+        if "error" in reply:
+            assert reply["error"]["code"] in _REQUEST_ERROR_CODES, (request, reply)
+    assert replies[-1]["shutdown"] is True
+    assert replies[-1]["reason"] == reason
+    assert threading.active_count() == threads_before
+
+
+class TestProtocolFuzz:
+    """The one serve protocol under arbitrary input, in-process: every line
+    gets exactly one JSON reply, never an ``internal`` error, and the loop
+    ends with its farewell."""
+
+    def test_arbitrary_text_lines(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        line = st.text(
+            st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)),
+            max_size=40,
+        )
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.lists(line, max_size=6))
+        def check(lines):
+            _check_one_connection(lines)
+
+        check()
+
+    def test_arbitrary_request_fields(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.lists(_request_objects(), min_size=1, max_size=5))
+        def check(requests):
+            _check_one_connection([json.dumps(r) for r in requests])
+
+        check()
