@@ -36,7 +36,9 @@ Modes
     (see :mod:`repro.engine`).  The engine is bit-identical to the serial
     path — same results, same funnel counters — so ``--compare --jobs N``
     checks the parallel path against the committed *serial* baseline and
-    must pass the same fingerprint and counter gates.
+    must pass the same fingerprint and counter gates.  The ``serve/``
+    family ignores it: a served miss is one query on its connection
+    thread, and ``REPRO_JOBS=N`` is the one way to put a pool under it.
 
 The matrix also carries a ``service/`` workload family: each configuration
 answers a 16-query batch (8 unique focal records, each asked twice) both
@@ -73,7 +75,7 @@ eviction (a vacuous predicate) fails CI like a lost pruning step does.
 A ``serve/`` workload family drives the *network* front end closed-loop:
 a real :class:`~repro.service.ThreadedLineServer` on a kernel-picked port,
 ``clients`` concurrent socket clients issuing a seeded, skewed (hot-focal)
-request stream over two shards routed through the consistent-hash /
+request stream over two shards routed through the router / single-flight
 admission stack.  Every response payload is compared against a standalone
 ``maxrank()`` reference before anything is recorded, exactly-once
 computation per unique (shard, focal, tau) key is asserted, and the
@@ -309,8 +311,8 @@ class ServeBenchConfig:
     later request picks the hot key with probability ``hot_share`` or a
     uniform cold key otherwise — the skewed interactive shape the admission
     layer exists for.  The set of unique keys is deterministic, so the
-    exactly-once totals and work counters are gateable; latency and wave
-    composition are timing and stay ungated.
+    exactly-once totals and work counters are gateable; latency and the
+    coalesced count are timing and stay ungated.
     """
 
     key: str
@@ -333,8 +335,8 @@ SERVE_CONFIGS: List[ServeBenchConfig] = [
 #: Totals gated *exactly* on the ``serve/`` family: the request plans are
 #: seeded, and single-flight + result cache make computation exactly-once
 #: per unique key regardless of thread scheduling, so these cannot drift
-#: without a real behavioural change.  ``coalesced``/``waves`` are timing-
-#: dependent and only sanity-checked (``coalesced >= 1``) at run time.
+#: without a real behavioural change.  ``coalesced`` is timing-dependent
+#: and only sanity-checked (``coalesced >= 1``) at run time.
 SERVE_EXACT_COUNTERS = ("admitted", "queries_computed", "requests")
 
 
@@ -814,10 +816,7 @@ def run_obs_config(
     }
 
 
-def run_serve_config(
-    config: ServeBenchConfig,
-    jobs: Optional[int] = None,
-) -> Dict[str, object]:
+def run_serve_config(config: ServeBenchConfig) -> Dict[str, object]:
     """Measure the network front closed-loop: sockets, router, admission.
 
     ``clients`` threads each hold one TCP connection to an in-process
@@ -879,7 +878,7 @@ def run_serve_config(
         plans.append(plan)
 
     shards = {name: MaxRankService(dataset) for name, dataset in datasets.items()}
-    router = DatasetRouter(shards, slots=2, wave_window_s=0.02, jobs=jobs)
+    router = DatasetRouter(shards)
     backend = _RouterBackend(router)
     server = ThreadedLineServer(
         "127.0.0.1", 0, backend.handle_line, on_error=backend.error_line,
@@ -946,7 +945,6 @@ def run_serve_config(
     total_requests = config.clients * config.requests_per_client
     admitted = int(snapshot["admitted"])
     coalesced = int(snapshot["coalesced"])
-    waves = int(snapshot["waves"])
     computed = int(snapshot["queries_computed"])
     if computed != len(keys):
         raise AssertionError(
@@ -975,7 +973,6 @@ def run_serve_config(
         "qps": round(total_requests / wall, 1) if wall > 0 else 0.0,
         "admitted": admitted,
         "coalesced": coalesced,
-        "waves": waves,
         "queries_computed": computed,
         "cache_hits": int(counters.get("cache_hits", 0)),
         "k_stars": [references[key]["k_star"] for key in keys],
@@ -1027,7 +1024,7 @@ def run_matrix(
             if quick and not serve_config.quick:
                 continue
             print(f"running {serve_config.key} (closed-loop load) ...", flush=True)
-            results[serve_config.key] = run_serve_config(serve_config, jobs=jobs)
+            results[serve_config.key] = run_serve_config(serve_config)
     if family in ("all", "obs"):
         for obs_config in OBS_CONFIGS:
             if quick and not obs_config.quick:

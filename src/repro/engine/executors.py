@@ -55,6 +55,8 @@ from __future__ import annotations
 import atexit
 import math
 import os
+import signal
+import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -78,6 +80,9 @@ _CHUNKS_PER_WORKER = 4
 #: Ceiling on the exponential crash-retry backoff (seconds): a repeatedly
 #: dying pool should fail (or degrade) fast, not stall the query.
 _MAX_BACKOFF_S = 0.5
+
+#: How often a pool worker checks that the process that forked it is alive.
+_PARENT_POLL_S = 1.0
 
 
 class LeafTaskExecutor:
@@ -112,6 +117,28 @@ class SerialExecutor(LeafTaskExecutor):
         return [execute_task(task) for task in tasks]
 
 
+def _init_worker(parent_pid: int) -> None:
+    """Pool worker initializer: die with the parent, not with its handlers.
+
+    A forked worker inherits the parent's signal handlers (``serve``
+    installs a draining SIGTERM handler) and its stdout/stderr, so a
+    worker outliving a SIGKILLed parent would ignore SIGTERM and hold the
+    parent's pipes open.  Reset both signals to their defaults, and exit
+    once the parent is gone: a daemon thread polls ``os.getppid()``
+    (``PR_SET_PDEATHSIG`` would fire when the *forking thread* exits,
+    and that can be any connection thread of a server).
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+    def watch_parent() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch_parent, name="parent-watch", daemon=True).start()
+
+
 def _execute_chunk(payload) -> List[LeafTaskResult]:
     """Worker entry point: apply the chunk's fault directive (test-only,
     ``None`` outside the chaos suite), then run the tasks sequentially."""
@@ -130,6 +157,11 @@ class ProcessPoolExecutor(LeafTaskExecutor):
     lazily on first use and torn down by :meth:`close` (registered with
     ``atexit`` as a backstop, so an abandoned executor cannot leak worker
     processes past interpreter exit).
+
+    One executor may be shared by many threads (the ``REPRO_JOBS`` pool
+    serves every shard of a server): pooled ``run()`` calls are serialised
+    per executor, so the pool is built, discarded and rebuilt by one
+    caller at a time.
 
     Worker death (``BrokenProcessPool``) is survived: see the module
     docstring's *Fault tolerance* section.  :attr:`worker_retries` and
@@ -172,6 +204,9 @@ class ProcessPoolExecutor(LeafTaskExecutor):
         self.worker_retries = 0
         self.degraded_batches = 0
         self._pending_events: Dict[str, int] = {}
+        self._events_lock = threading.Lock()
+        #: serialises pooled ``run()`` calls (pool lifecycle included)
+        self._run_lock = threading.Lock()
         self._pool = None
         self._closed = False
         self._atexit_registered = False
@@ -190,7 +225,8 @@ class ProcessPoolExecutor(LeafTaskExecutor):
             except ValueError:  # pragma: no cover - non-POSIX fallback
                 context = multiprocessing.get_context()
             self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.jobs, mp_context=context
+                max_workers=self.jobs, mp_context=context,
+                initializer=_init_worker, initargs=(os.getpid(),),
             )
             if not self._atexit_registered:
                 # Backstop only: normal lifecycles close() explicitly (the
@@ -206,11 +242,13 @@ class ProcessPoolExecutor(LeafTaskExecutor):
             pool.shutdown(wait=False, cancel_futures=True)
 
     def _record_event(self, name: str) -> None:
-        setattr(self, name, getattr(self, name) + 1)
-        self._pending_events[name] = self._pending_events.get(name, 0) + 1
+        with self._events_lock:
+            setattr(self, name, getattr(self, name) + 1)
+            self._pending_events[name] = self._pending_events.get(name, 0) + 1
 
     def drain_events(self) -> Dict[str, int]:
-        events, self._pending_events = self._pending_events, {}
+        with self._events_lock:
+            events, self._pending_events = self._pending_events, {}
         return events
 
     def run(self, tasks: Sequence[LeafTask]) -> List[LeafTaskResult]:
@@ -223,6 +261,10 @@ class ProcessPoolExecutor(LeafTaskExecutor):
             # One worker (or one task) gains nothing from IPC; the
             # self-contained path is identical either way.
             return [execute_task(task) for task in tasks]
+        with self._run_lock:
+            return self._run_pooled(tasks)
+
+    def _run_pooled(self, tasks: List[LeafTask]) -> List[LeafTaskResult]:
         chunk_count = min(len(tasks), self.jobs * _CHUNKS_PER_WORKER)
         size = math.ceil(len(tasks) / chunk_count)
         chunks = [tasks[i: i + size] for i in range(0, len(tasks), size)]
@@ -346,6 +388,7 @@ def make_executor(jobs: Optional[int]) -> Optional[LeafTaskExecutor]:
 
 _env_executor: Optional[LeafTaskExecutor] = None
 _env_checked = False
+_env_lock = threading.Lock()
 
 
 def _executor_from_env() -> Optional[LeafTaskExecutor]:
@@ -356,20 +399,23 @@ def _executor_from_env() -> Optional[LeafTaskExecutor]:
     serial run after the first error.
     """
     global _env_executor, _env_checked
-    if not _env_checked:
-        value = os.environ.get("REPRO_JOBS", "").strip().lower()
-        executor: Optional[LeafTaskExecutor] = None
-        if value:
-            try:
-                jobs = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_JOBS must be an integer, got {value!r}"
-                ) from None
-            if jobs >= 2:
-                executor = ProcessPoolExecutor(jobs)
-        _env_executor = executor
-        _env_checked = True
+    if _env_checked:
+        return _env_executor
+    with _env_lock:  # racing first queries must build one shared pool
+        if not _env_checked:
+            value = os.environ.get("REPRO_JOBS", "").strip().lower()
+            executor: Optional[LeafTaskExecutor] = None
+            if value:
+                try:
+                    jobs = int(value)
+                except ValueError:
+                    raise ValueError(
+                        f"REPRO_JOBS must be an integer, got {value!r}"
+                    ) from None
+                if jobs >= 2:
+                    executor = ProcessPoolExecutor(jobs)
+            _env_executor = executor
+            _env_checked = True
     return _env_executor
 
 

@@ -166,7 +166,7 @@ class MetricsRegistry:
 
     Collector callbacks registered with ``add_collector`` run right
     before every ``snapshot()``/``render_prometheus()``, which is how
-    layer-owned stats (router slots, service caches, transport totals)
+    layer-owned stats (router admission, service caches, transport totals)
     are pulled into gauges without putting a registry call on their hot
     paths.
     """

@@ -1,12 +1,13 @@
 """One coherent serving snapshot across every layer's stat dict.
 
-PR 9 left the serving front with four independently owned stat surfaces
-— transport (``connections_accepted``/``requests_handled``), router
-(``cold_starts``/``routed``), per-slot admission (``admitted``/
-``coalesced``/``waves``…) and per-shard service (``queries_served``/
-cache counters…).  Reading "how is the server doing" meant stitching
-them together by hand, and each call site stitched differently (the
-serve bench, the shutdown summary, ``{"cmd": "stats"}`` clients).
+The serving front has three independently owned stat surfaces — transport
+(``connections_accepted``/``requests_handled``), the router with its
+admission controller (``cold_starts``/``routed``/``admitted``/
+``coalesced``…) and per-shard service (``queries_served``/cache
+counters…).  Without one consolidation point, reading "how is the server
+doing" means stitching them together by hand, and each call site would
+stitch differently (the serve bench, the shutdown summary,
+``{"cmd": "stats"}`` clients).
 
 :func:`serving_snapshot` is the single consolidation point: a flat dict
 whose totals are sums of the layer-owned counters, plus the per-shard
@@ -21,10 +22,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-#: Per-slot admission counters summed into the consolidated totals.
-SLOT_KEYS = (
-    "admitted", "coalesced", "waves", "wave_jobs",
-    "spread_shuffles", "in_flight",
+#: Router and admission entries copied into the consolidated snapshot.
+ROUTER_KEYS = (
+    "datasets", "loaded", "cold_starts", "routed",
+    "admitted", "coalesced", "in_flight",
 )
 
 #: Per-shard service counters summed into the consolidated totals.
@@ -53,16 +54,8 @@ def serving_snapshot(router, server=None) -> Dict[str, object]:
     layers report individually, never re-derived.
     """
     stats = router.stats()
-    slots: Dict[str, dict] = stats["slots"]
     services: Dict[str, dict] = stats["services"]
-    out: Dict[str, object] = {
-        "datasets": stats["datasets"],
-        "loaded": stats["loaded"],
-        "cold_starts": stats["cold_starts"],
-        "routed": stats["routed"],
-    }
-    for key in SLOT_KEYS:
-        out[key] = sum(slot.get(key, 0) for slot in slots.values())
+    out: Dict[str, object] = {key: stats[key] for key in ROUTER_KEYS}
     for key in SERVICE_KEYS:
         out[key] = sum(shard.get(key, 0) for shard in services.values())
     if server is not None:

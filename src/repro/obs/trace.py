@@ -93,8 +93,8 @@ class Tracer:
 
     Span parentage follows a per-thread stack: ``begin`` without an
     explicit parent nests under the calling thread's innermost open
-    span.  Handing work to another thread (admission waves) or another
-    process (engine tasks) crosses stacks, so those sites pass an
+    span.  Handing work to another thread or another process (engine
+    tasks) crosses stacks, so those sites pass an
     explicit ``parent=`` — either a span handle's id or a
     ``TraceContext`` — which anchors the new span and pushes it onto
     the *calling* thread's stack.

@@ -7,7 +7,10 @@ for its lifetime, keeps the R*-tree and warm BBS traversal state across
 queries, caches results in an LRU keyed by the full query identity, runs
 batches through the execution engine's process pools (whole queries as work
 units), and cold-starts from on-disk snapshots
-(:func:`repro.index.diskio.save_snapshot`).
+(:func:`repro.index.diskio.save_snapshot`).  A :class:`DatasetRouter`
+serves several such services at once behind one
+:class:`AdmissionController`, which computes concurrent duplicate
+queries once.
 
 Quickstart
 ----------
@@ -28,7 +31,7 @@ from .admission import AdmissionController
 from .batch import QueryTask
 from .cache import QueryCache, query_key
 from .core import MaxRankService, result_fingerprint
-from .router import ConsistentHashRing, DatasetRouter
+from .router import DatasetRouter
 from .transport import ThreadedLineServer
 
 __all__ = [
@@ -38,7 +41,6 @@ __all__ = [
     "query_key",
     "result_fingerprint",
     "AdmissionController",
-    "ConsistentHashRing",
     "DatasetRouter",
     "ThreadedLineServer",
 ]

@@ -45,13 +45,13 @@ Three subcommands drive the service end-to-end (``python -m repro.service``):
         python -m repro.service serve --listen 127.0.0.1:7117 \
             --shard nba=nba.rprs --shard hotel=hotel.rprs
 
-    Both modes run the same backend.  Requests route through a
-    consistent-hash sharded front (``--snapshot`` and ``--shard NAME=PATH``,
-    repeatable; a request names its shard with ``{"dataset": "name", ...}``
-    unless only one is served) and an admission layer that coalesces
-    duplicate in-flight queries (single-flight) and batches distinct
-    concurrent ones into ``query_batch`` waves.  Every shard is loaded
-    before the greeting.  Mutation requests ride the same protocol:
+    Both modes run the same backend.  Requests route to their shard
+    (``--snapshot`` and ``--shard NAME=PATH``, repeatable; a request names
+    its shard with ``{"dataset": "name", ...}`` unless only one is served)
+    through an admission layer that computes concurrent duplicate queries
+    once (single-flight); each request is answered on its connection's
+    thread, and a shard computes one cache miss at a time.  Every shard is
+    loaded before the greeting.  Mutation requests ride the same protocol:
     ``{"cmd": "insert", "record": [0.4, 0.2, 0.7]}`` and
     ``{"cmd": "delete", "record_id": 17}`` mutate a shard between queries
     and answer with the new size plus the scoped cache-invalidation
@@ -472,7 +472,6 @@ class _RouterBackend:
         meta = {
             "ready": True,
             "datasets": list(self.router.dataset_ids),
-            "slots": len(self.router.slots),
         }
         if self.metrics_port is not None:
             meta["metrics_port"] = self.metrics_port
@@ -660,12 +659,7 @@ def _serve(args: argparse.Namespace) -> int:
 
     address = parse_hostport(args.listen) if args.listen else None
     with DatasetRouter(
-        _parse_shards(args),
-        slots=args.slots,
-        wave_size=args.wave_size,
-        wave_window_s=args.wave_window,
-        jobs=args.jobs,
-        service_options={"cache_size": args.cache_size},
+        _parse_shards(args), service_options={"cache_size": args.cache_size},
     ) as router:
         # Load every shard before the first line: a missing or corrupt
         # snapshot exits 2 (code "snapshot") before anything is served.
@@ -816,17 +810,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="add a dataset shard served from PATH under the id "
                             "NAME (repeatable); requests pick a shard with "
                             "their \"dataset\" field")
-    serve.add_argument("--slots", type=int, default=2,
-                       help="admission slots on the consistent-hash ring "
-                            "(default 2)")
-    serve.add_argument("--wave-size", type=int, default=16,
-                       help="max distinct queries batched per admission wave "
-                            "(default 16)")
-    serve.add_argument("--wave-window", type=float, default=0.002, metavar="S",
-                       help="how long a wave leader holds the wave open for "
-                            "concurrent arrivals (default 0.002s)")
-    serve.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="whole-query process parallelism per wave")
     serve.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
                        help="expose the metrics registry in Prometheus text "
                             "format on http://127.0.0.1:PORT/metrics "

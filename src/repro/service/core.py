@@ -198,8 +198,12 @@ class MaxRankService:
     exact) while :meth:`insert` / :meth:`delete` take *exclusive* access —
     a mutation waits for in-flight queries to drain and blocks new ones
     until the dataset swap, tree maintenance and cache sweeps are complete.
-    The mutex is never held while a result is computed, so concurrent
-    distinct queries genuinely overlap; coalescing concurrent *duplicate*
+    The mutex is never held while a result is computed.  A cache miss of
+    :meth:`query` computes under the service's compute lock, so the shard
+    computes one miss at a time — concurrent computations of one process
+    would only contend for the GIL — while cache hits never take it and
+    other shards compute alongside.  The compute lock is never held while
+    taking the gate or the mutex.  Coalescing concurrent *duplicate*
     queries is the admission layer's job (:mod:`repro.service.admission`).
     """
 
@@ -243,6 +247,9 @@ class MaxRankService:
         self._mutex = threading.RLock()
         #: Queries shared / mutations exclusive (see the class docstring).
         self._gate = _ReadWriteGate()
+        #: One cache miss of ``query`` computes at a time (never held while
+        #: taking ``_gate`` or ``_mutex``).
+        self._compute_lock = threading.Lock()
 
     # ------------------------------------------------------------ lifecycle
     @classmethod
@@ -455,10 +462,11 @@ class MaxRankService:
                             cache_hit = True
                             return cached
                 try:
-                    result = self._compute(
-                        focal, tau, algorithm, options,
-                        jobs=jobs, deadline=deadline, tracer=tracer,
-                    )
+                    with self._compute_lock:
+                        result = self._compute(
+                            focal, tau, algorithm, options,
+                            jobs=jobs, deadline=deadline, tracer=tracer,
+                        )
                 except QueryTimeoutError as exc:
                     with self._mutex:
                         self.query_timeouts += 1

@@ -102,6 +102,41 @@ class TestExecutorEquivalence:
                 parallel = _run("aa", dataset, focal, pool)
                 assert parallel == serial
 
+    def test_pool_shared_by_concurrent_callers(self, monkeypatch):
+        """Two threads running multi-task batches on one pool each get
+        the serial answer, and the pool is built once."""
+        import concurrent.futures
+        import threading
+        import time
+
+        built = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                time.sleep(0.1)  # widen the window a racing build would use
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        dataset = generate("IND", 200, 4, seed=2)
+        focals = (3, 5)
+        serial = {f: _run("aa", dataset, f, SerialExecutor()) for f in focals}
+        barrier = threading.Barrier(len(focals))
+        parallel = {}
+        with ProcessPoolExecutor(2) as pool:
+
+            def query(focal):
+                barrier.wait()
+                parallel[focal] = _run("aa", dataset, focal, pool)
+
+            threads = [threading.Thread(target=query, args=(f,)) for f in focals]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        assert parallel == serial
+        assert len(built) == 1
+
     def test_serial_executor_object_matches_default(self):
         dataset = generate("IND", 150, 4, seed=3)
         assert _run("aa", dataset, 5, SerialExecutor()) == _run(
@@ -446,6 +481,43 @@ class TestEnvironmentOverride:
             assert routed == serial
         finally:
             forced.close()
+            monkeypatch.setattr(executors, "_env_checked", False)
+            monkeypatch.setattr(executors, "_env_executor", None)
+
+    def test_env_latch_builds_one_executor(self, monkeypatch):
+        """Threads racing on the first query share one forced executor."""
+        import threading
+        import time
+
+        from repro.engine import executors
+
+        class SlowPool(ProcessPoolExecutor):
+            def __init__(self, jobs):
+                time.sleep(0.05)  # widen the window a racing latch would use
+                super().__init__(jobs)
+
+        monkeypatch.setattr(executors, "ProcessPoolExecutor", SlowPool)
+        monkeypatch.setattr(executors, "_env_checked", False)
+        monkeypatch.setattr(executors, "_env_executor", None)
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        barrier = threading.Barrier(8)
+        resolved = []
+
+        def resolve():
+            barrier.wait()
+            resolved.append(executors.resolve_executor(None))
+
+        threads = [threading.Thread(target=resolve) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        try:
+            assert len(resolved) == 8
+            assert all(executor is resolved[0] for executor in resolved)
+        finally:
+            for executor in {id(e): e for e in resolved}.values():
+                executor.close()
             monkeypatch.setattr(executors, "_env_checked", False)
             monkeypatch.setattr(executors, "_env_executor", None)
 

@@ -194,10 +194,10 @@ class TestTracer:
         ctx = tracer.context()
         tracer.finish(handle)
         # Another thread would pass the context explicitly.
-        wave = tracer.begin("wave", parent=ctx)
-        tracer.finish(wave)
+        handoff = tracer.begin("handoff", parent=ctx)
+        tracer.finish(handoff)
         records = {r.name: r for r in tracer.records()}
-        assert records["wave"].parent_id == records["request"].span_id
+        assert records["handoff"].parent_id == records["request"].span_id
 
     def test_anchored_tracer_mints_under_anchor(self):
         tracer = Tracer(anchor=TraceContext("t9", "1.3.Q2"))
@@ -362,13 +362,9 @@ class _FakeRouter:
 
     def stats(self):
         return {
-            "datasets": 2, "loaded": 2, "cold_starts": 2, "routed": 9,
-            "slots": {
-                "0": {"admitted": 5, "coalesced": 1, "waves": 3,
-                      "wave_jobs": 4, "spread_shuffles": 0, "in_flight": 0},
-                "1": {"admitted": 4, "coalesced": 0, "waves": 4,
-                      "wave_jobs": 4, "spread_shuffles": 1, "in_flight": 1},
-            },
+            "datasets": ["alpha", "beta"], "loaded": ["alpha", "beta"],
+            "cold_starts": 2, "routed": 9,
+            "admitted": 9, "coalesced": 1, "in_flight": 1,
             "services": {
                 "alpha": {"queries_served": 5, "queries_computed": 3,
                           "cache_hits": 2, "cache_misses": 3,
@@ -385,7 +381,7 @@ class TestServingSnapshot:
         snap = serving_snapshot(_FakeRouter(), _FakeServer())
         assert snap["admitted"] == 9
         assert snap["coalesced"] == 1
-        assert snap["wave_jobs"] == 8
+        assert snap["in_flight"] == 1
         assert snap["queries_served"] == 9
         assert snap["cache_hits"] == 2
         assert snap["connections"] == 3

@@ -1,79 +1,96 @@
-"""Router + admission behaviour: hashing stability, single-flight, isolation.
+"""Router + admission behaviour: single-flight, compute lock, isolation.
 
 The sharded front's promises, pinned:
 
-* the consistent-hash ring remaps only the keys of a removed slot (and
-  steals only the stolen keys when one is added) — warm slots stay warm;
 * N duplicate concurrent queries → exactly one computation, N identical
   responses, ``coalesced == N - 1``;
+* a cache hit never waits for a miss, and a shard computes one miss at a
+  time while other shards compute alongside;
 * mutating one shard never touches another shard's answers or state;
-* everything an admission wave returns is bit-identical to standalone
+* everything admission returns is bit-identical to standalone
   ``maxrank()``.
+
+Concurrency is made deterministic by holding a computation on an event
+(see :func:`_hold_compute`) instead of relying on timing windows.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
 from repro import CostCounters, MaxRankService, generate, maxrank
 from repro.errors import AlgorithmError, ReproError
-from repro.service import AdmissionController, ConsistentHashRing, DatasetRouter
+from repro.service import AdmissionController, DatasetRouter
 from repro.service.core import result_fingerprint
 
+#: Upper bound on any wait in this module: a broken lock fails, never hangs.
+WAIT_S = 30
 
-class TestConsistentHashRing:
-    KEYS = [f"dataset-{i}" for i in range(200)]
 
-    def test_deterministic_across_instances(self):
-        a = ConsistentHashRing(["s0", "s1", "s2"])
-        b = ConsistentHashRing(["s0", "s1", "s2"])
-        assert [a.slot_for(k) for k in self.KEYS] == [
-            b.slot_for(k) for k in self.KEYS
-        ]
+def _hold_compute(service, focal):
+    """Wrap ``service._compute`` so computing ``focal`` parks until released.
 
-    def test_every_slot_gets_keys(self):
-        ring = ConsistentHashRing(["s0", "s1", "s2", "s3"])
-        owners = {ring.slot_for(k) for k in self.KEYS}
-        assert owners == {"s0", "s1", "s2", "s3"}
+    The hold sits inside the service's compute lock, where a real slow
+    computation would (``focal=None`` holds nothing).  Returns
+    ``(entered, release, active)``: ``entered`` is set once the held
+    computation started, ``release`` lets it finish, and ``active``
+    records the peak number of concurrent computations.
+    """
+    entered, release = threading.Event(), threading.Event()
+    compute = service._compute
+    lock = threading.Lock()
+    active = {"now": 0, "peak": 0}
 
-    def test_remove_remaps_only_the_removed_slots_keys(self):
-        ring = ConsistentHashRing(["s0", "s1", "s2", "s3"])
-        before = {k: ring.slot_for(k) for k in self.KEYS}
-        ring.remove_slot("s2")
-        after = {k: ring.slot_for(k) for k in self.KEYS}
-        for key in self.KEYS:
-            if before[key] == "s2":
-                assert after[key] != "s2"
-            else:
-                assert after[key] == before[key]  # stability: nobody else moves
+    def held(held_focal, *args, **kwargs):
+        with lock:
+            active["now"] += 1
+            active["peak"] = max(active["peak"], active["now"])
+        try:
+            if held_focal == focal:
+                entered.set()
+                assert release.wait(WAIT_S)
+            return compute(held_focal, *args, **kwargs)
+        finally:
+            with lock:
+                active["now"] -= 1
 
-    def test_add_steals_only_what_it_now_owns(self):
-        ring = ConsistentHashRing(["s0", "s1", "s2"])
-        before = {k: ring.slot_for(k) for k in self.KEYS}
-        ring.add_slot("s3")
-        after = {k: ring.slot_for(k) for k in self.KEYS}
-        moved = {k for k in self.KEYS if after[k] != before[k]}
-        assert moved  # the new slot does take some load...
-        assert all(after[k] == "s3" for k in moved)  # ...and only to itself
+    service._compute = held
+    return entered, release, active
 
-    def test_add_then_remove_roundtrips(self):
-        ring = ConsistentHashRing(["s0", "s1"])
-        before = {k: ring.slot_for(k) for k in self.KEYS}
-        ring.add_slot("s2")
-        ring.remove_slot("s2")
-        assert {k: ring.slot_for(k) for k in self.KEYS} == before
 
-    def test_membership_errors(self):
-        ring = ConsistentHashRing(["s0"])
-        with pytest.raises(AlgorithmError):
-            ring.add_slot("s0")
-        with pytest.raises(AlgorithmError):
-            ring.remove_slot("s9")
-        ring.remove_slot("s0")
-        with pytest.raises(AlgorithmError):
-            ring.slot_for("anything")
+def _in_thread(target, *args, **kwargs):
+    """Run ``target`` on a started thread; returns (thread, outcome dict)."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = target(*args, **kwargs)
+        except Exception as exc:  # handed to the caller through outcome
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, outcome
+
+
+def _join(*threads):
+    """Join every thread within ``WAIT_S`` and require that it finished."""
+    for thread in threads:
+        thread.join(WAIT_S)
+        assert not thread.is_alive(), "a request never returned"
+
+
+def _wait_for(predicate):
+    """Poll ``predicate`` until true (bounded by ``WAIT_S``)."""
+    for _ in range(WAIT_S * 100):
+        if predicate():
+            return
+        time.sleep(0.01)
+    raise AssertionError("condition never became true")
 
 
 class TestSingleFlight:
@@ -86,26 +103,22 @@ class TestSingleFlight:
             maxrank(dataset, 7, tau=1, counters=counters)
         )
         with MaxRankService(dataset) as service:
-            # A generous arrival window so all clients provably attach to
-            # the first request's flight before its wave departs.
-            admission = AdmissionController(wave_window_s=0.3)
-            barrier = threading.Barrier(n_clients)
-            answers = [None] * n_clients
-
-            def client(i: int):
-                barrier.wait()
-                answers[i] = admission.submit(service, "ds", 7, tau=1)
-
-            threads = [
-                threading.Thread(target=client, args=(i,))
-                for i in range(n_clients)
+            admission = AdmissionController()
+            # The opening request computes on an event, so every other
+            # client provably attaches to its flight before it lands.
+            entered, release, _active = _hold_compute(service, 7)
+            opener, first = _in_thread(admission.submit, service, "ds", 7, tau=1)
+            assert entered.wait(WAIT_S)
+            clients = [
+                _in_thread(admission.submit, service, "ds", 7, tau=1)
+                for _ in range(n_clients - 1)
             ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            _wait_for(lambda: admission.stats()["admitted"] == n_clients)
+            release.set()
+            _join(opener, *(thread for thread, _outcome in clients))
+            outcomes = [first] + [outcome for _thread, outcome in clients]
 
-            results = [result for result, _hit in answers]
+            results = [outcome["value"][0] for outcome in outcomes]
             assert all(
                 result_fingerprint(r) == reference for r in results
             )
@@ -113,7 +126,7 @@ class TestSingleFlight:
             stats = admission.stats()
             assert stats["coalesced"] == n_clients - 1
             assert stats["admitted"] == n_clients
-            assert stats["waves"] == 1 and stats["wave_jobs"] == 1
+            assert stats["in_flight"] == 0
             assert service.stats()["queries_computed"] == 1
 
     @pytest.mark.parametrize("tau", [1.7, True])
@@ -128,64 +141,133 @@ class TestSingleFlight:
             assert admission.stats()["admitted"] == 0
 
     def test_errors_propagate_to_every_waiter(self):
+        """A failing flight's error reaches the duplicates parked on it."""
         dataset = generate("IND", 80, 3, seed=2)
         with MaxRankService(dataset) as service:
-            admission = AdmissionController(wave_window_s=0.2)
-            barrier = threading.Barrier(4)
-            outcomes = []
+            admission = AdmissionController()
+            entered, release = threading.Event(), threading.Event()
+            query = service.query
 
-            def client():
-                barrier.wait()
-                try:
-                    admission.submit(service, "ds", 10**9)  # out of range
-                except ReproError as exc:
-                    outcomes.append(str(exc))
+            def failing(*args, **kwargs):
+                entered.set()
+                assert release.wait(WAIT_S)
+                return query(*args, **kwargs)
 
-            threads = [threading.Thread(target=client) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert len(outcomes) == 4
-            assert admission.stats()["in_flight"] == 0  # failed flight landed
-
-    def test_hot_backlog_is_spread_randomly(self):
-        """More pending flights than one wave admits triggers the seeded
-        MRV-style shuffle and everything still lands exactly once."""
-        dataset = generate("IND", 100, 3, seed=4)
-        focals = list(range(12))
-        with MaxRankService(dataset) as service:
-            admission = AdmissionController(wave_size=3, wave_window_s=0.15)
-            barrier = threading.Barrier(len(focals))
-            answers = {}
-            lock = threading.Lock()
-
-            def client(focal: int):
-                barrier.wait()
-                result, _hit = admission.submit(service, "ds", focal)
-                with lock:
-                    answers[focal] = result
-
-            threads = [
-                threading.Thread(target=client, args=(f,)) for f in focals
+            service.query = failing
+            clients = [
+                _in_thread(admission.submit, service, "ds", 10**9)  # out of range
             ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-
-            assert sorted(answers) == focals
-            for focal in focals:
-                counters = CostCounters()
-                reference = maxrank(dataset, focal, counters=counters)
-                assert result_fingerprint(answers[focal]) == result_fingerprint(
-                    reference
-                )
+            assert entered.wait(WAIT_S)
+            clients += [
+                _in_thread(admission.submit, service, "ds", 10**9)
+                for _ in range(3)
+            ]
+            _wait_for(lambda: admission.stats()["admitted"] == 4)
+            release.set()
+            _join(*(thread for thread, _outcome in clients))
+            errors = [outcome.get("error") for _thread, outcome in clients]
+            assert all(isinstance(error, ReproError) for error in errors)
+            assert all(error is errors[0] for error in errors)  # the same one
             stats = admission.stats()
-            assert stats["spread_shuffles"] >= 1
-            assert stats["waves"] >= len(focals) // 3
-            assert stats["wave_jobs"] == len(focals)
-            assert service.stats()["queries_computed"] == len(focals)
+            assert stats["coalesced"] == 3
+            assert stats["in_flight"] == 0  # failed flight landed
+
+
+class TestComputeLock:
+    @pytest.fixture()
+    def router(self):
+        shards = {
+            "alpha": MaxRankService(generate("IND", 120, 3, seed=31)),
+            "beta": MaxRankService(generate("ANTI", 110, 3, seed=32)),
+        }
+        with DatasetRouter(shards) as router:
+            yield router
+
+    def test_cache_hit_returns_while_a_miss_is_held(self, router):
+        alpha = router.service("alpha")
+        cached, hit = router.query("alpha", 4)
+        assert hit is False
+        entered, release, _active = _hold_compute(alpha, 9)
+        miss, outcome = _in_thread(router.query, "alpha", 9)
+        try:
+            assert entered.wait(WAIT_S)
+            # The shard's compute lock is held by the miss; the hit must
+            # not wait for it.
+            again, hit = router.query("alpha", 4)
+            assert hit is True and again is cached
+            assert not outcome  # the miss is still parked
+        finally:
+            release.set()
+            _join(miss)
+        assert outcome["value"][1] is False
+
+    def test_one_shard_computes_one_miss_at_a_time(self, router):
+        """Two misses on one shard never overlap; another shard computes
+        while the first is held."""
+        alpha, beta = router.service("alpha"), router.service("beta")
+        entered, release, active = _hold_compute(alpha, 9)
+        _entered_b, _release_b, active_b = _hold_compute(beta, None)
+        held, held_outcome = _in_thread(router.query, "alpha", 9)
+        try:
+            assert entered.wait(WAIT_S)
+            queued, queued_outcome = _in_thread(router.query, "alpha", 11)
+            # Served is counted before the compute lock is taken: once it
+            # reads 2 the second miss has reached the lock.
+            _wait_for(lambda: alpha.stats()["queries_served"] == 2)
+            # Another shard is not behind alpha's lock.
+            result, hit = router.query("beta", 11)
+            assert hit is False and result.k_star >= 1
+            assert active_b["peak"] == 1
+            assert not queued_outcome and active["peak"] == 1
+        finally:
+            release.set()
+            _join(held)
+        _join(queued)
+        assert held_outcome["value"][0].k_star >= 1
+        assert queued_outcome["value"][0].k_star >= 1
+        assert active["peak"] == 1  # alpha never computed two at once
+        assert alpha.stats()["queries_computed"] == 2
+
+    def test_concurrent_clients_compute_each_key_once(self, router):
+        """8 clients over mixed keys on both shards: one computation per
+        key, every answer bit-identical to standalone maxrank().  A short
+        switch interval makes a lost flight or a racing cache probe show
+        up as a second computation."""
+        keys = [("alpha", 3, 0), ("alpha", 8, 1), ("alpha", 21, 0),
+                ("beta", 3, 0), ("beta", 8, 1), ("beta", 40, 1)]
+        references = {}
+        for shard, focal, tau in keys:
+            dataset = router.service(shard).dataset
+            references[(shard, focal, tau)] = result_fingerprint(
+                maxrank(dataset, focal, tau=tau, counters=CostCounters())
+            )
+        n_clients = 8
+        barrier = threading.Barrier(n_clients)
+        mismatches = []
+
+        def client(tag: int):
+            barrier.wait()
+            for i in range(2 * len(keys)):
+                shard, focal, tau = keys[(tag + i) % len(keys)]
+                result, _hit = router.query(shard, focal, tau=tau)
+                if result_fingerprint(result) != references[(shard, focal, tau)]:
+                    mismatches.append((tag, shard, focal, tau))
+
+        threads = [threading.Thread(target=client, args=(tag,))
+                   for tag in range(n_clients)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            _join(*threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not mismatches
+        stats = router.stats()
+        assert stats["admitted"] == n_clients * 2 * len(keys)
+        for shard in ("alpha", "beta"):
+            assert stats["services"][shard]["queries_computed"] == 3
 
 
 class TestDatasetRouter:
@@ -195,14 +277,8 @@ class TestDatasetRouter:
             "alpha": MaxRankService(generate("IND", 120, 3, seed=31)),
             "beta": MaxRankService(generate("ANTI", 110, 3, seed=32)),
         }
-        with DatasetRouter(shards, slots=2, wave_window_s=0.0) as router:
+        with DatasetRouter(shards) as router:
             yield router
-
-    def test_routing_is_stable_and_total(self, router):
-        assert router.dataset_ids == ("alpha", "beta")
-        slots = {ds: router.slot_for(ds) for ds in router.dataset_ids}
-        assert set(slots.values()) <= {"slot-0", "slot-1"}
-        assert slots == {ds: router.slot_for(ds) for ds in router.dataset_ids}
 
     def test_unknown_dataset_is_a_clean_error(self, router):
         with pytest.raises(AlgorithmError, match="unknown dataset"):
@@ -261,7 +337,7 @@ class TestDatasetRouter:
                 path = tmp_path / f"{name}.rprs"
                 service.save_snapshot(path)
                 paths[name] = str(path)
-        with DatasetRouter(paths, slots=2) as router:
+        with DatasetRouter(paths) as router:
             assert router.cold_starts == 0  # nothing loaded yet
             result, _hit = router.query("one", 3)
             assert router.cold_starts == 1  # only the queried shard loaded
@@ -275,7 +351,7 @@ class TestDatasetRouter:
         with MaxRankService(generate("IND", 90, 3, seed=43)) as service:
             path = tmp_path / "cold.rprs"
             service.save_snapshot(path)
-        with DatasetRouter({"cold": str(path)}, slots=1) as router:
+        with DatasetRouter({"cold": str(path)}) as router:
             barrier = threading.Barrier(6)
             services = []
             lock = threading.Lock()

@@ -532,6 +532,63 @@ class TestServiceCli:
                 proc.kill()
                 proc.communicate()
 
+    def test_pool_workers_die_with_a_killed_server(self, tmp_path):
+        """Pool workers forked by ``serve`` hold its stdout/stderr pipes; a
+        SIGKILLed server must not leave them alive, or a parent reading
+        the pipes to EOF waits forever."""
+        import signal
+
+        children = Path(f"/proc/{os.getpid()}/task")
+        if not any(children.glob("*/children")):
+            pytest.skip("needs /proc/<pid>/task/<tid>/children")
+        # d = 4 gives multi-task leaf batches; a one-task batch runs
+        # in-process and never starts the pool.
+        snapshot = tmp_path / "d4.rprs"
+        run = self._run("build", "--dist", "IND", "--n", "150", "--d", "4",
+                        "--out", str(snapshot))
+        assert run.returncode == 0, run.stderr
+        env = dict(os.environ)
+        root = Path(__file__).resolve().parent.parent
+        env["PYTHONPATH"] = str(root / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        env["REPRO_JOBS"] = "2"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "serve",
+             "--snapshot", str(snapshot)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=env, text=True,
+        )
+        workers = []
+
+        def kill_workers():  # only on failure: their pids are still ours
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except (ProcessLookupError, PermissionError):
+                    pass
+
+        try:
+            assert json.loads(proc.stdout.readline())["ready"] is True
+            proc.stdin.write('{"focal": 7}\n')
+            proc.stdin.flush()
+            assert json.loads(proc.stdout.readline())["k_star"] >= 1
+            for listing in Path(f"/proc/{proc.pid}/task").glob("*/children"):
+                workers += [int(pid) for pid in listing.read_text().split()]
+            assert workers, "the query never started the pool"
+            proc.kill()
+            try:
+                proc.communicate(timeout=30)
+            except subprocess.TimeoutExpired:
+                kill_workers()
+                proc.communicate()
+                pytest.fail("pool workers outlived the killed server")
+        finally:
+            if proc.poll() is None:  # pragma: no cover - cleanup on failure
+                proc.kill()
+                kill_workers()
+                proc.communicate()
+
 
 class TestScopedInvalidation:
     """Mutations evict exactly the cached answers they can affect."""

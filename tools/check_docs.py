@@ -11,6 +11,10 @@ actual API.
 Blocks can opt out with a ``<!-- docs-check: skip -->`` comment on the line
 directly above the opening fence (for illustrative pseudo-code).
 
+Every ``python -m repro.service <verb> --flag ...`` command in a fenced
+``sh`` block is checked too: each flag must appear in that verb's
+``--help``, so a deleted flag cannot linger in the documentation.
+
 Usage::
 
     python tools/check_docs.py [file.md ...]
@@ -18,6 +22,8 @@ Usage::
 
 from __future__ import annotations
 
+import contextlib
+import io
 import re
 import sys
 from pathlib import Path
@@ -31,7 +37,16 @@ _FENCE = re.compile(
     r"^(?P<indent>[ ]*)```python[^\n]*\n(?P<body>.*?)^(?P=indent)```[ ]*$",
     re.MULTILINE | re.DOTALL,
 )
+_SH_FENCE = re.compile(
+    r"^(?P<indent>[ ]*)```sh[^\n]*\n(?P<body>.*?)^(?P=indent)```[ ]*$",
+    re.MULTILINE | re.DOTALL,
+)
 _SKIP_MARK = "docs-check: skip"
+_SERVICE_COMMAND = re.compile(r"python -m repro\.service\s+(?P<verb>\S+)(?P<rest>.*)")
+#: Where a documented command's own arguments end: a pipe, a redirect, a
+#: command separator or a comment.
+_COMMAND_END = re.compile(r"\s(?:\||>|<|;|&&|#)")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def extract_blocks(text: str) -> List[Tuple[int, str]]:
@@ -53,6 +68,64 @@ def extract_blocks(text: str) -> List[Tuple[int, str]]:
     return blocks
 
 
+def service_commands(text: str) -> List[Tuple[int, str, List[str]]]:
+    """``(line, verb, flags)`` of every ``python -m repro.service`` command
+    in the fenced ``sh`` blocks of ``text`` (backslash continuations
+    joined; ``line`` is where the command's first row is)."""
+    commands: List[Tuple[int, str, List[str]]] = []
+    for match in _SH_FENCE.finditer(text):
+        first = text[: match.start()].count("\n") + 2
+        logical, start = "", first
+        for number, row in enumerate(match.group("body").split("\n"), first):
+            if not logical:
+                start = number
+            if row.endswith("\\"):
+                logical += row[:-1] + " "
+                continue
+            command = _SERVICE_COMMAND.search(logical + row)
+            logical = ""
+            if command is not None:
+                rest = _COMMAND_END.split(command.group("rest"), maxsplit=1)[0]
+                commands.append(
+                    (start, command.group("verb"), _FLAG.findall(rest))
+                )
+    return commands
+
+
+def verb_flags(verb: str) -> List[str]:
+    """The flags ``python -m repro.service <verb> --help`` lists (empty
+    for an unknown verb)."""
+    from repro.service.cli import main as service_main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            service_main([verb, "--help"])
+        except SystemExit:
+            pass
+    return _FLAG.findall(out.getvalue())
+
+
+def check_service_flags(path: Path) -> Tuple[List[str], int]:
+    """Check every documented service command's flags; return (failures,
+    command count)."""
+    failures: List[str] = []
+    commands = service_commands(path.read_text(encoding="utf-8"))
+    known = {}
+    for line, verb, flags in commands:
+        if verb not in known:
+            known[verb] = set(verb_flags(verb))
+        if not known[verb]:
+            failures.append(f"{path}:{line}: unknown repro.service verb {verb!r}")
+            continue
+        for flag in flags:
+            if flag not in known[verb]:
+                failures.append(
+                    f"{path}:{line}: `repro.service {verb}` has no {flag} flag"
+                )
+    return failures, len(commands)
+
+
 def run_file(path: Path) -> Tuple[List[str], int]:
     """Execute every python block of one file; return (failures, block count)."""
     failures: List[str] = []
@@ -71,6 +144,7 @@ def main(argv: List[str]) -> int:
     targets = [Path(name) for name in (argv or list(DEFAULT_FILES))]
     failures: List[str] = []
     checked = 0
+    commands = 0
     for target in targets:
         path = target if target.is_absolute() else REPO_ROOT / target
         if not path.exists():
@@ -79,12 +153,16 @@ def main(argv: List[str]) -> int:
         file_failures, block_count = run_file(path)
         checked += block_count
         failures.extend(file_failures)
+        flag_failures, command_count = check_service_flags(path)
+        commands += command_count
+        failures.extend(flag_failures)
     if failures:
         print("docs check FAILED:", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
-    print(f"docs check OK ({checked} code block(s) executed)")
+    print(f"docs check OK ({checked} code block(s) executed, "
+          f"{commands} service command(s) checked)")
     return 0
 
 

@@ -65,7 +65,7 @@ TRACE_KEY = ("alpha", 140, 1)
 #: span names a complete traced TCP query must contain: transport-level
 #: request, admission, service, engine phases, and worker-side leaf tasks.
 EXPECTED_SPANS = {
-    "request", "admission.submit", "admission.wave", "service.query",
+    "request", "admission.submit", "service.query",
     "compute", "skyline", "quadtree_build", "within_leaf", "collect_level",
     "leaf_task",
 }
@@ -149,7 +149,6 @@ def main() -> int:
              "--listen", "127.0.0.1:0",
              "--shard", f"alpha={paths['alpha']}",
              "--shard", f"beta={paths['beta']}",
-             "--slots", "2", "--wave-window", "0.0",
              "--metrics-port", "0",
              "--slow-query-threshold", "0.000000001"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,

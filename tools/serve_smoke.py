@@ -150,8 +150,7 @@ def main(argv=None) -> int:
             [sys.executable, "-m", "repro.service", "serve",
              "--listen", "127.0.0.1:0",
              "--shard", f"alpha={paths['alpha']}",
-             "--shard", f"beta={paths['beta']}",
-             "--slots", "2", "--wave-window", "0.02"],
+             "--shard", f"beta={paths['beta']}"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True, env=env, cwd=REPO,
         )
@@ -165,7 +164,7 @@ def main(argv=None) -> int:
             # The admission contract, read off the live server.
             _sock, f = connect(port)
             stats = ask(f, {"cmd": "stats"})
-            coalesced = sum(s["coalesced"] for s in stats["slots"].values())
+            coalesced = stats["coalesced"]
             computed = sum(s["queries_computed"]
                            for s in stats["services"].values())
             unique = len([HOT] + COLD)
