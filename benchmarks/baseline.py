@@ -1,105 +1,72 @@
 #!/usr/bin/env python
 """Benchmark regression harness for the MaxRank query stack.
 
-Runs a fixed workload matrix (subsets of the paper's Figure 8 / Figure 9
-sweeps) and records, per configuration: wall-clock, per-query CPU, simulated
-I/O, the exact result fingerprint (``k*``, region counts, minimum cell
-orders per query) and the screen→LP funnel counters of the batched
-feasibility engine.  The numbers are written to ``BENCH_maxrank.json`` at
-the repository root, which is committed so every PR carries its performance
-trajectory.
+Runs a frozen workload matrix and records, per configuration, the exact
+result fingerprint (``k*`` and region count per query), the engine's work
+counters and, where the configuration times something, that wall-clock.
+The records go to ``BENCH_maxrank.json`` at the repository root, which is
+committed so every change carries its trajectory.  Served latency and
+tracing overhead are timed by ``perfbench/run.py``, not here.
+
+Every configuration runs through one path.  Its family's ``measure`` hook
+runs the workload and the family's oracle assertions; :func:`record` turns
+the results and the summed counters into a record; :func:`compare` applies
+one set of gates to every record.  What differs per family is data:
+
+============  ========================================  ==================================
+family        workload (asserted before recording)      gated beyond the shared gates
+============  ========================================  ==================================
+``fig*``      AA query batches from the paper's         calibrated ``wall_s``
+              Figure 8, 9 and 10 sweeps
+``build/``    one cost-policy query batch and two       ``halfspaces_inserted``,
+              cold ``insert_bulk`` builds (``n`` = 4k,  ``nodes_created``,
+              50k)                                      ``splits_performed`` exactly;
+                                                        calibrated ``wall_s``
+``service/``  16 queries (8 focals twice), cold         ``cache_hits``, ``skyline_reused``
+              through ``maxrank()`` and warm through    (serial runs) at least as
+              one ``MaxRankService``; bit-identical     committed; calibrated warm
+                                                        ``wall_s``
+``update/``   an 80/20 query/mutate sequence on one     ``inserts``, ``deletes``,
+              service; final answers equal a cold       ``invalidated``, ``retained``
+              rebuild                                   exactly; calibrated ``wall_s``
+``serve/``    closed-loop socket clients on a           ``admitted``, ``queries_computed``,
+              two-shard server; payloads equal          ``requests`` exactly
+              standalone ``maxrank()``, each key
+              computed once, ``coalesced >= 1``
+``obs/``      the same queries untraced and traced;     —
+              fingerprints and non-time counters
+              equal, ``spans > 0``
+============  ========================================  ==================================
+
+The shared gates of ``--compare``: every fingerprint is bit-identical, the
+work counters (:data:`WORK_COUNTERS`) regress by at most 15 %, the
+robustness counters (:data:`ROBUSTNESS_ZERO_COUNTERS`) stay at their
+committed value, and a record with a committed ``wall_s`` of at least
+half a second regresses by at most 35 % in calibrated wall-clock.
 
 Modes
 -----
 ``python benchmarks/baseline.py``
     Run the full matrix and print a report (no file written).
-``python benchmarks/baseline.py --update``
+``--update``
     Run and rewrite the ``current`` section of ``BENCH_maxrank.json``
     (the ``pre_pr`` section, when present, is preserved).
-``python benchmarks/baseline.py --compare``
-    Run and fail (exit 1) when, against the committed baseline:
-
-    * any result fingerprint differs (``k*`` / region counts / minimum cell
-      orders are required to be bit-identical), or
-    * a deterministic work counter (LP calls, cells examined, candidates
-      generated) regresses by more than 15 %, or
-    * calibrated wall-clock regresses by more than 35 % on a configuration
-      whose committed wall-clock is at least half a second.  Wall-clock is
-      normalised by a short CPU calibration loop measured on both sides;
-      the normalisation transfers only approximately across hosts, so the
-      wall gate is deliberately loose — the deterministic counters are the
-      hard gate.
+``--compare``
+    Run and fail (exit 1) on any gate above.
 ``--quick``
-    Restrict any of the modes above to the quick subset (used by CI).
+    Restrict the run to the quick subset (used by CI).
 ``--jobs N``
-    Run the within-leaf execution engine on an ``N``-worker process pool
-    (see :mod:`repro.engine`).  The engine is bit-identical to the serial
-    path — same results, same funnel counters — so ``--compare --jobs N``
-    checks the parallel path against the committed *serial* baseline and
-    must pass the same fingerprint and counter gates.  The ``serve/``
-    family ignores it: a served miss is one query on its connection
-    thread, and ``REPRO_JOBS=N`` is the one way to put a pool under it.
+    Run the within-leaf execution engine on an ``N``-worker process pool.
+    Results and counters stay bit-identical to serial, so ``--compare
+    --jobs N`` must pass the fingerprint and counter gates of the serial
+    baseline (the wall gate is skipped).  ``serve/`` and ``obs/`` ignore
+    it: a served miss is one query on its connection thread, and the
+    tracing passes stay serial.
+``--family {build,serve,obs}``
+    Restrict the run to one family (the CI smokes).
 
-The matrix also carries a ``service/`` workload family: each configuration
-answers a 16-query batch (8 unique focal records, each asked twice) both
-*cold* — the standalone shape, one fresh ``maxrank()`` + R*-tree build per
-query — and *warm* through one :class:`repro.service.MaxRankService`
-(shared tree, warm skyline state, LRU result cache; ``--jobs`` additionally
-runs the batch through whole-query process parallelism).  Both sides are
-asserted bit-identical before recording, and ``--compare`` gates the
-amortisation counters (``cache_hits``, ``skyline_reused``) alongside the
-work counters, so losing the service's reuse fails CI like losing a pruning
-step does.
-
-A ``build/`` workload family watches quad-tree construction: one full-query
-configuration that pins the cost-model split policy's recovery of the
-small-``n`` ``d = 4`` shape, and two cold-start construction-only
-configurations (``n = 4k`` and ``n = 50k``, explicit ``max_depth``) that
-time ``insert_bulk`` alone.  Their construction counters
-(``halfspaces_inserted`` / ``nodes_created`` / ``splits_performed``) are
-serial/parallel-invariant by the parallel-identity contract and are gated
-*exactly* by ``--compare``; ``--family build`` restricts a run to this
-family (CI smokes it with ``--jobs 2``).
-
-An ``update/`` workload family exercises the mutable service: a seeded
-80/20 query/mutate sequence (inserts and deletes interleaved with cached
-queries) against one long-lived service.  Before anything is recorded,
-every unique focal of the *mutated* dataset is re-asked and asserted
-bit-identical to a cold service freshly built over the final records — the
-same oracle the mutation-differential test harness uses.  The scoped
-cache-invalidation outcome (``invalidated`` / ``retained`` / ``inserts`` /
-``deletes``) is deterministic for the frozen sequence, so ``--compare``
-gates those counters *exactly*: losing retention (over-invalidation) or
-eviction (a vacuous predicate) fails CI like a lost pruning step does.
-
-A ``serve/`` workload family drives the *network* front end closed-loop:
-a real :class:`~repro.service.ThreadedLineServer` on a kernel-picked port,
-``clients`` concurrent socket clients issuing a seeded, skewed (hot-focal)
-request stream over two shards routed through the router / single-flight
-admission stack.  Every response payload is compared against a standalone
-``maxrank()`` reference before anything is recorded, exactly-once
-computation per unique (shard, focal, tau) key is asserted, and the
-single-flight ``coalesced`` counter must be positive (the hot key is
-barrier-synchronised so all clients provably collide).  Latency p50/p99
-and qps are recorded for the trajectory; the deterministic gates are the
-work counters and the exact ``admitted`` / ``queries_computed`` totals —
-``serve/`` keys are exempt from the calibrated wall gate because a
-closed-loop latency benchmark measures scheduling, not algorithm work.
-
-An ``obs/`` workload family gates the observability stack: the same seeded
-queries answered untraced and fully traced (a live :class:`repro.obs.Tracer`
-riding the engine's counter hooks, producing a complete span tree per
-query).  Tracing that changes an answer or a counter is a bug, not a cost,
-so both gates are *exact* — every result fingerprint and every non-time
-counter must be bit-identical between the two passes — and the recorded
-``wall_s`` is the untraced side, so the calibrated wall gate watches the
-disabled-path overhead (one ``is None`` check per instrumented site) that
-every other configuration also carries.  ``overhead_ratio`` records the
-traced/untraced wall ratio for the trajectory; ``--family obs`` restricts a
-run to this family (the CI obs smoke).
-
-The workload matrix is intentionally frozen: the ``--compare`` mode is only
-sound when both sides ran identical configurations.
+The matrix is frozen: ``--compare`` is only sound when both sides ran the
+same configurations.
 """
 
 from __future__ import annotations
@@ -110,7 +77,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -129,7 +96,7 @@ from repro.service.core import MaxRankService, result_fingerprint  # noqa: E402
 from repro.stats import CostCounters                    # noqa: E402
 
 BASELINE_PATH = REPO_ROOT / "BENCH_maxrank.json"
-SCHEMA = 1
+SCHEMA = 2
 #: Maximum tolerated regression for the deterministic work counters.
 REGRESSION_TOLERANCE = 0.15
 #: Maximum tolerated regression for calibrated wall-clock.  Wider than the
@@ -143,37 +110,26 @@ WALL_TOLERANCE = 0.35
 #: work counters are checked exactly anyway.
 WALL_FLOOR_S = 0.5
 
-
-@dataclass(frozen=True)
-class BenchConfig:
-    """One frozen benchmark configuration."""
-
-    key: str
-    distribution: str
-    n: int
-    d: int
-    queries: int
-    quick: bool = False
-    tau: int = 0
-
-
-CONFIGS: List[BenchConfig] = [
-    BenchConfig("quick/fig9/d=4", "IND", 150, 4, 1, quick=True),
-    BenchConfig("fig9/d=3", "IND", 400, 3, 2, quick=True),
-    BenchConfig("fig9/d=4", "IND", 300, 4, 2, quick=True),
-    BenchConfig("fig9/d=5", "IND", 300, 5, 1),
-    BenchConfig("fig8/IND/n=600", "IND", 600, 4, 2),
-    BenchConfig("fig8/COR/n=600", "COR", 600, 4, 2),
-    BenchConfig("fig8/ANTI/n=600", "ANTI", 600, 4, 2),
-    # d = 3 on anticorrelated data: the depth-capped fat leaves make the
-    # combinatorial within-leaf enumeration infeasible (>500 s per batch);
-    # only the planar sweep keeps this configuration sub-second, which is
-    # why it is in the committed matrix.
-    BenchConfig("fig8/ANTI/d=3", "ANTI", 600, 3, 2),
-    # iMaxRank at d = 3: tau widens the explored Hamming weights, the
-    # regime where the planar sweep replaces the C(m, w) enumeration.
-    BenchConfig("fig10/d=3/tau=3", "IND", 400, 3, 2, tau=3),
-]
+#: The engine counters every record carries, summed over the
+#: configuration's queries.
+RECORDED_COUNTERS = (
+    "lp_calls",
+    "cells_examined",
+    "candidates_generated",
+    "prefixes_cut",
+    "pairwise_pruned",
+    "screen_accepts",
+    "screen_rejects",
+    "lines_inserted",
+    "faces_enumerated",
+    "worker_retries",
+    "degraded_batches",
+    "deadline_checks",
+    "halfspaces_inserted",
+    "nodes_created",
+    "splits_performed",
+    "build_tasks",
+)
 
 #: Work counters whose regression fails a --compare run.  They are
 #: deterministic for a fixed workload, so the tolerance only absorbs
@@ -189,185 +145,49 @@ WORK_COUNTERS = (
     "faces_enumerated",
 )
 
-#: Service-layer amortisation counters gated on the ``service/`` workload
-#: family: these are deterministic "the service skipped work" tallies, so a
-#: *drop* (fewer cache hits, less warm-skyline reuse than committed) is the
-#: regression.  ``skyline_reused`` is only gated on serial runs — under
-#: ``--jobs`` each pool worker forks with a cold cache, so its value depends
-#: on worker scheduling.
-SERVICE_MIN_COUNTERS = ("cache_hits", "skyline_reused")
-
 #: Robustness counters that must stay at their committed value (normally 0)
 #: on the fault-free benchmark workload: a worker retry, a serial
 #: degradation or a deadline check on the happy path means fault-handling
-#: machinery leaked into the no-fault code path.  Entries absent from an
-#: older committed baseline default to 0, so the gate binds without
-#: regenerating the baseline file.
+#: machinery leaked into the no-fault code path.
 ROBUSTNESS_ZERO_COUNTERS = ("worker_retries", "degraded_batches", "deadline_checks")
 
-
-@dataclass(frozen=True)
-class ServiceBenchConfig:
-    """One frozen service-workload configuration: a batch of ``batch``
-    queries over ``unique`` distinct focal records (the repetition is the
-    point — it is what the result cache amortises)."""
-
-    key: str
-    distribution: str
-    n: int
-    d: int
-    batch: int = 16
-    unique: int = 8
-    tau: int = 0
-    quick: bool = False
-
-
-SERVICE_CONFIGS: List[ServiceBenchConfig] = [
-    ServiceBenchConfig("service/fig9/d=3", "IND", 400, 3, quick=True),
-    ServiceBenchConfig("service/fig9/d=4", "IND", 300, 4, quick=True),
-    ServiceBenchConfig("service/fig9/d=5", "IND", 300, 5),
-    ServiceBenchConfig("service/fig8/ANTI", "ANTI", 600, 4),
-]
+#: At-least counters gated on serial runs only: under ``--jobs`` each pool
+#: worker forks with a cold skyline cache, so the reuse count depends on
+#: worker scheduling.
+SERIAL_ONLY_COUNTERS = ("skyline_reused",)
 
 
 @dataclass(frozen=True)
-class UpdateBenchConfig:
-    """One frozen mutable-service workload: ``ops`` operations, every fifth
-    a mutation (inserts and deletes interleaved), the rest queries cycling
-    over ``unique`` focal records so the result cache has entries for the
-    scoped invalidation to rule on."""
+class Config:
+    """One frozen benchmark configuration.
 
-    key: str
-    distribution: str
-    n: int
-    d: int
-    ops: int = 30
-    unique: int = 8
-    tau: int = 1
-    quick: bool = False
-
-
-UPDATE_CONFIGS: List[UpdateBenchConfig] = [
-    UpdateBenchConfig("update/fig9/d=3", "IND", 400, 3, quick=True),
-    UpdateBenchConfig("update/fig8/ANTI", "ANTI", 300, 4),
-]
-
-#: Counters gated *exactly* on the ``update/`` family: the mutation
-#: sequence is frozen and scoped invalidation is deterministic, so any
-#: drift — retaining less (lost scoping) or evicting less (unsound
-#: predicate or stale serves) — is a real behavioural change.
-UPDATE_EXACT_COUNTERS = ("inserts", "deletes", "invalidated", "retained")
-
-
-@dataclass(frozen=True)
-class BuildBenchConfig:
-    """One frozen construction-focused configuration.
-
-    ``query=True`` runs a full AA query batch (so the record carries the
-    end-to-end fingerprint and funnel alongside the construction volume);
-    ``query=False`` measures the cold quad-tree build alone: scan the
-    incomparable records, derive their half-spaces, time ``insert_bulk``.
-    ``max_depth`` must be explicit on the large-``n`` cold builds — the
-    dim-aware default depth is sized for the paper's small-``n`` panels and
-    saturates toward millions of nodes at ``n = 50k``.
+    ``queries`` is the number of seeded focal records asked: per batch for
+    ``fig*``/``obs/``, distinct focals for ``service/``/``update/`` and
+    per shard for ``serve/``.  A ``build/`` configuration with
+    ``queries=0`` times the cold quad-tree build alone.  The remaining
+    fields belong to one family each.
     """
 
     key: str
     distribution: str
     n: int
     d: int
-    split_policy: str = "static"
-    query: bool = False
-    quick: bool = False
-    max_depth: Optional[int] = None
-    split_threshold: Optional[int] = None
-
-
-BUILD_CONFIGS: List[BuildBenchConfig] = [
-    # The PR 3 threshold-rebalance regression shape: under the cost policy
-    # this must come back under the committed wall/LP numbers (the static
-    # numbers live in quick/fig9/d=4).
-    BuildBenchConfig("build/quick/fig9/d=4/cost", "IND", 150, 4,
-                     split_policy="cost", query=True, quick=True),
-    # Cold-start construction at scale: wall is dominated by the split
-    # cascade, which is what --jobs parallelises.  Depth is capped at 5 —
-    # a full 8-ary depth-5 tree is ≤ 37k nodes, so node volume stays
-    # deterministic and exact-gated while the build is long enough to
-    # parallelise.
-    BuildBenchConfig("build/cold/d=4/n=4000", "IND", 4000, 4,
-                     max_depth=5, quick=True),
-    BuildBenchConfig("build/cold/d=4/n=50000", "IND", 50000, 4, max_depth=5),
-]
-
-@dataclass(frozen=True)
-class ServeBenchConfig:
-    """One frozen closed-loop network-serving workload.
-
-    Two shards (IND at dimension ``d``, IND at ``d + 1``) are served by one
-    in-process :class:`ThreadedLineServer`; ``clients`` socket clients each
-    issue ``requests_per_client`` requests.  The request *plans* are seeded
-    per client: the first request of every client is the same hot key
-    (barrier-synchronised, so single-flight provably coalesces) and each
-    later request picks the hot key with probability ``hot_share`` or a
-    uniform cold key otherwise — the skewed interactive shape the admission
-    layer exists for.  The set of unique keys is deterministic, so the
-    exactly-once totals and work counters are gateable; latency and the
-    coalesced count are timing and stay ungated.
-    """
-
-    key: str
-    n: int
-    d: int
-    clients: int = 8
-    requests_per_client: int = 12
-    unique: int = 6          # distinct focals per shard
-    hot_share: float = 0.5
+    queries: int = 1
     tau: int = 0
     quick: bool = False
+    split_policy: str = "static"            # build/
+    max_depth: Optional[int] = None         # build/ (cold builds)
+    batch: int = 16                         # service/: queries in the batch
+    ops: int = 30                           # update/: operations, every fifth a mutation
+    clients: int = 8                        # serve/
+    requests_per_client: int = 12           # serve/
+    hot_share: float = 0.5                  # serve/: share of requests for the hot key
 
 
-SERVE_CONFIGS: List[ServeBenchConfig] = [
-    ServeBenchConfig("serve/quick/mixed", 250, 3, quick=True),
-    ServeBenchConfig("serve/load/hot", 400, 3, requests_per_client=25,
-                     unique=8, hot_share=0.6, tau=1),
-]
-
-#: Totals gated *exactly* on the ``serve/`` family: the request plans are
-#: seeded, and single-flight + result cache make computation exactly-once
-#: per unique key regardless of thread scheduling, so these cannot drift
-#: without a real behavioural change.  ``coalesced`` is timing-dependent
-#: and only sanity-checked (``coalesced >= 1``) at run time.
-SERVE_EXACT_COUNTERS = ("admitted", "queries_computed", "requests")
-
-
-@dataclass(frozen=True)
-class ObsBenchConfig:
-    """One frozen tracing-overhead workload: the same queries answered
-    untraced and traced (full span tree), back to back, ``reps`` times
-    each with the minimum wall kept per side."""
-
-    key: str
-    distribution: str
-    n: int
-    d: int
-    queries: int = 2
-    tau: int = 1
-    reps: int = 3
-    quick: bool = True
-
-
-OBS_CONFIGS: List[ObsBenchConfig] = [
-    ObsBenchConfig("obs/overhead/d=3", "IND", 400, 3),
-]
-
-
-#: Construction counters gated *exactly* on the ``build/`` family: the
-#: split cascade is deterministic for a frozen workload and — by the
-#: parallel-identity contract — invariant under --jobs, so any drift is a
-#: real change to the tree being built.  ``build_tasks`` is deliberately
-#: absent: it counts subtree units shipped to workers, which legitimately
-#: varies with jobs (0 when serial).
-BUILD_EXACT_COUNTERS = ("halfspaces_inserted", "nodes_created", "splits_performed")
+#: What a ``measure`` hook returns: the results (anything with ``k_star``
+#: and ``region_count``), the summed counter dump and the family's own
+#: fields.
+Measurement = Tuple[Sequence[object], Mapping[str, float], Dict[str, object]]
 
 
 def calibrate(rounds: int = 1500, repeats: int = 3) -> float:
@@ -400,12 +220,17 @@ def calibrate(rounds: int = 1500, repeats: int = 3) -> float:
     return best
 
 
-def run_config(
-    config: BenchConfig,
-    jobs: Optional[int] = None,
-    extra_options: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """Execute one configuration and return its measurement record."""
+def summed(dumps: Iterable[Mapping[str, float]]) -> Dict[str, float]:
+    """Counter dumps added name by name."""
+    total: Dict[str, float] = {}
+    for dump in dumps:
+        for name, value in dump.items():
+            total[name] = total.get(name, 0.0) + value
+    return total
+
+
+def measure_queries(config: Config, jobs: Optional[int]) -> Measurement:
+    """``fig*``: one AA batch over a prebuilt R*-tree; ``wall_s`` times it."""
     dataset = generate(config.distribution, config.n, config.d, seed=0)
     tree = RStarTree.build(dataset.records)
     start = time.perf_counter()
@@ -418,64 +243,27 @@ def run_config(
         tree=tree,
         label=config.key,
         jobs=jobs,
-        **(extra_options or {}),
+        split_policy=config.split_policy,
     )
     wall = time.perf_counter() - start
-    measurements = batch.measurements
-    counters: Dict[str, float] = {}
-    for measurement in measurements:
-        for name, value in measurement.counters.items():
-            if not name.startswith("time_"):
-                counters[name] = counters.get(name, 0.0) + value
-    funnel = screen_funnel(counters)
-    return {
-        "wall_s": round(wall, 4),
-        "cpu_s": round(batch.mean_cpu, 4),
-        "io": batch.mean_io,
-        "k_stars": [m.k_star for m in measurements],
-        "region_counts": [m.region_count for m in measurements],
-        "lp_calls": int(counters.get("lp_calls", 0)),
-        "cells_examined": int(counters.get("cells_examined", 0)),
-        "candidates_generated": int(counters.get("candidates_generated", 0)),
-        "prefixes_cut": int(counters.get("prefixes_cut", 0)),
-        "pairwise_pruned": int(counters.get("pairwise_pruned", 0)),
-        "screen_accepts": int(counters.get("screen_accepts", 0)),
-        "screen_rejects": int(counters.get("screen_rejects", 0)),
-        "lines_inserted": int(counters.get("lines_inserted", 0)),
-        "faces_enumerated": int(counters.get("faces_enumerated", 0)),
-        "worker_retries": int(counters.get("worker_retries", 0)),
-        "degraded_batches": int(counters.get("degraded_batches", 0)),
-        "deadline_checks": int(counters.get("deadline_checks", 0)),
-        "screen_resolved_ratio": round(funnel["screen_resolved_ratio"], 4),
-        "halfspaces_inserted": int(counters.get("halfspaces_inserted", 0)),
-        "nodes_created": int(counters.get("nodes_created", 0)),
-        "splits_performed": int(counters.get("splits_performed", 0)),
-        "build_tasks": int(counters.get("build_tasks", 0)),
+    counters = summed(m.counters for m in batch.measurements)
+    return batch.measurements, counters, {
+        "wall_s": round(wall, 4), "io": batch.mean_io,
     }
 
 
-def run_build_config(
-    config: BuildBenchConfig,
-    jobs: Optional[int] = None,
-) -> Dict[str, object]:
-    """Execute one construction-focused configuration.
+def measure_build(config: Config, jobs: Optional[int]) -> Measurement:
+    """``build/``: a query batch under ``split_policy``, or (``queries=0``)
+    the cold-build prefix of BA/AA — incomparable scan, half-space
+    derivation, ``insert_bulk`` — with ``wall_s`` timing ``insert_bulk``
+    alone, the split cascade ``--jobs`` parallelises.
 
-    ``query=True`` delegates to :func:`run_config` (full AA query, one
-    focal) with the configured ``split_policy``, so the record carries the
-    usual fingerprint and funnel fields plus the construction volume.
-    ``query=False`` reproduces exactly the cold-build prefix of BA/AA —
-    incomparable scan, half-space derivation, ``insert_bulk`` — and times
-    only the ``insert_bulk`` call (the split cascade ``--jobs``
-    parallelises); the query-side fields are recorded as empty/zero.
+    ``max_depth`` must be explicit on the large-``n`` cold builds: the
+    dim-aware default depth is sized for the paper's small-``n`` panels
+    and saturates toward millions of nodes at ``n = 50k``.
     """
-    if config.query:
-        return run_config(
-            BenchConfig(config.key, config.distribution, config.n, config.d,
-                        queries=1, quick=config.quick),
-            jobs=jobs,
-            extra_options={"split_policy": config.split_policy},
-        )
-
+    if config.queries:
+        return measure_queries(config, jobs)
     counters = CostCounters()
     dataset = generate(config.distribution, config.n, config.d, seed=0)
     tree = RStarTree.build(dataset.records)
@@ -487,7 +275,6 @@ def run_build_config(
     ]
     quadtree = AugmentedQuadTree(
         config.d - 1,
-        split_threshold=config.split_threshold,
         max_depth=config.max_depth,
         split_policy=config.split_policy,
         counters=counters,
@@ -501,67 +288,36 @@ def run_build_config(
         if executor is not None:
             executor.close()
     dump = counters.as_dict()
-    return {
-        "wall_s": round(wall, 4),
-        "cpu_s": round(wall, 4),
-        "io": float(dump.get("page_reads", 0)),
-        "k_stars": [],
-        "region_counts": [],
-        "lp_calls": 0,
-        "cells_examined": 0,
-        "candidates_generated": 0,
-        "prefixes_cut": 0,
-        "pairwise_pruned": 0,
-        "screen_accepts": 0,
-        "screen_rejects": 0,
-        "lines_inserted": 0,
-        "faces_enumerated": 0,
-        "worker_retries": int(dump.get("worker_retries", 0)),
-        "degraded_batches": int(dump.get("degraded_batches", 0)),
-        "deadline_checks": int(dump.get("deadline_checks", 0)),
-        "screen_resolved_ratio": 0.0,
-        "halfspaces_inserted": int(dump.get("halfspaces_inserted", 0)),
-        "nodes_created": int(dump.get("nodes_created", 0)),
-        "splits_performed": int(dump.get("splits_performed", 0)),
-        "build_tasks": int(dump.get("build_tasks", 0)),
+    return [], dump, {
+        "wall_s": round(wall, 4), "io": float(dump.get("page_reads", 0)),
     }
 
 
-def run_service_config(
-    config: ServiceBenchConfig,
-    jobs: Optional[int] = None,
-) -> Dict[str, object]:
-    """Measure the cold per-query path against the warm service batch.
+def measure_service(config: Config, jobs: Optional[int]) -> Measurement:
+    """``service/``: the cold per-query path against one warm service batch.
 
     *Cold* is the standalone shape the service replaces: one fresh
-    ``maxrank()`` per query, R*-tree rebuilt every time.  *Warm* is one
-    :class:`MaxRankService` answering the whole batch (shared tree, warm
-    skyline state, result cache; ``--jobs`` adds whole-query parallelism).
-    The two sides are asserted bit-identical before anything is recorded,
-    so the recorded speedup can never be bought with a wrong answer.
+    ``maxrank()`` (R*-tree rebuilt) per distinct focal, timed as
+    ``cold_wall_s``.  *Warm* is one :class:`MaxRankService` answering the
+    whole batch (shared tree, warm skyline, result cache; ``--jobs`` adds
+    whole-query parallelism), timed as ``wall_s``.  Every warm answer is
+    asserted bit-identical to its cold one.
     """
     dataset = generate(config.distribution, config.n, config.d, seed=0)
-    unique = select_focal_records(dataset, config.unique, seed=0)
+    unique = select_focal_records(dataset, config.queries, seed=0)
     focals = [unique[i % len(unique)] for i in range(config.batch)]
 
-    # Cold: per-query tree build + standalone query, one per unique focal.
-    cold_results = {}
     cold_start = time.perf_counter()
-    for focal in unique:
-        cold_results[focal] = maxrank(dataset, int(focal), tau=config.tau)
+    cold = {focal: maxrank(dataset, int(focal), tau=config.tau) for focal in unique}
     cold_wall = time.perf_counter() - cold_start
-    cold_per_query = cold_wall / len(unique)
 
-    # Warm: one service, one batch.
     service = MaxRankService(dataset)
     try:
         warm_start = time.perf_counter()
-        results = service.query_batch(
-            focals, tau=config.tau, jobs=jobs
-        )
+        results = service.query_batch(focals, tau=config.tau, jobs=jobs)
         warm_wall = time.perf_counter() - warm_start
         for focal, result in zip(focals, results):
-            if result_fingerprint(result) != result_fingerprint(cold_results[focal]):
+            if result_fingerprint(result) != result_fingerprint(cold[focal]):
                 raise AssertionError(
                     f"{config.key}: service result for focal {focal} differs "
                     f"from standalone maxrank()"
@@ -570,59 +326,32 @@ def run_service_config(
         counters = service.counters.as_dict()
     finally:
         service.close()
-
-    warm_per_query = warm_wall / len(focals)
-    funnel = screen_funnel(counters)
-    return {
+    return results, counters, {
         "wall_s": round(warm_wall, 4),
         "cold_wall_s": round(cold_wall, 4),
-        "cold_per_query_s": round(cold_per_query, 5),
-        "warm_per_query_s": round(warm_per_query, 5),
-        "speedup": round(cold_per_query / warm_per_query, 2) if warm_per_query else 0.0,
-        "cold_start_s": round(stats["tree_build_seconds"], 5),
-        "cpu_s": round(warm_per_query, 4),
-        "io": 0.0,
         "batch": config.batch,
         "unique": len(unique),
-        "k_stars": [r.k_star for r in results],
-        "region_counts": [r.region_count for r in results],
         "cache_hits": int(stats["cache_hits"]),
         "skyline_reused": int(stats["skyline_reused"]),
         "queries_computed": int(stats["queries_computed"]),
-        "lp_calls": int(counters.get("lp_calls", 0)),
-        "cells_examined": int(counters.get("cells_examined", 0)),
-        "candidates_generated": int(counters.get("candidates_generated", 0)),
-        "prefixes_cut": int(counters.get("prefixes_cut", 0)),
-        "pairwise_pruned": int(counters.get("pairwise_pruned", 0)),
-        "screen_accepts": int(counters.get("screen_accepts", 0)),
-        "screen_rejects": int(counters.get("screen_rejects", 0)),
-        "lines_inserted": int(counters.get("lines_inserted", 0)),
-        "faces_enumerated": int(counters.get("faces_enumerated", 0)),
-        "worker_retries": int(counters.get("worker_retries", 0)),
-        "degraded_batches": int(counters.get("degraded_batches", 0)),
-        "deadline_checks": int(counters.get("deadline_checks", 0)),
-        "screen_resolved_ratio": round(funnel["screen_resolved_ratio"], 4),
     }
 
 
-def run_update_config(
-    config: UpdateBenchConfig,
-    jobs: Optional[int] = None,
-) -> Dict[str, object]:
-    """Measure the 80/20 query/mutate workload on one mutable service.
+def measure_update(config: Config, jobs: Optional[int]) -> Measurement:
+    """``update/``: the 80/20 query/mutate sequence on one mutable service.
 
     The first mutation is an insert strictly dominated by a cached focal
-    record — the planted witness that scoped invalidation *must* retain —
-    and before anything is recorded every unique focal is re-asked and
-    asserted bit-identical to a cold service built over the mutated
-    records, so the recorded numbers can never describe stale answers.
+    record — the planted witness that scoped invalidation *must* retain.
+    Afterwards every distinct focal is re-asked and asserted bit-identical
+    to a cold service built over the mutated records (the mutation
+    harness's oracle), so the record never describes stale answers.
     """
     import numpy as np
 
     from repro.data.dataset import Dataset
 
     dataset = generate(config.distribution, config.n, config.d, seed=0)
-    unique = select_focal_records(dataset, config.unique, seed=0)
+    unique = select_focal_records(dataset, config.queries, seed=0)
 
     rng = np.random.default_rng(0)
     service = MaxRankService(dataset)
@@ -644,18 +373,16 @@ def run_update_config(
                 queries += 1
         wall = time.perf_counter() - start
 
-        # Oracle gate: the mutated service must be indistinguishable from a
-        # cold service over the final records before numbers are recorded.
-        final_focals = [int(f % service.dataset.n) for f in unique]
         oracle = MaxRankService(
             Dataset(service.dataset.records.copy(), name="oracle"), cache_size=0
         )
         try:
             results = []
-            for focal in final_focals:
+            for focal in (int(f % service.dataset.n) for f in unique):
                 served = service.query(focal, tau=config.tau)
-                reference = oracle.query(focal, tau=config.tau)
-                if result_fingerprint(served) != result_fingerprint(reference):
+                if result_fingerprint(served) != result_fingerprint(
+                    oracle.query(focal, tau=config.tau)
+                ):
                     raise AssertionError(
                         f"{config.key}: mutated service answer for focal "
                         f"{focal} differs from a cold rebuild"
@@ -663,7 +390,6 @@ def run_update_config(
                 results.append(served)
         finally:
             oracle.close()
-
         stats = service.stats()
         counters = service.counters.as_dict()
     finally:
@@ -674,164 +400,88 @@ def run_update_config(
             f"{config.key}: scoped invalidation retained nothing despite the "
             f"planted dominated insert"
         )
-    funnel = screen_funnel(counters)
-    return {
+    return results, counters, {
         "wall_s": round(wall, 4),
-        "cpu_s": round(wall / config.ops, 4),
-        "io": 0.0,
         "ops": config.ops,
         "unique": len(unique),
-        "k_stars": [r.k_star for r in results],
-        "region_counts": [r.region_count for r in results],
-        "inserts": int(stats["inserts"]),
-        "deletes": int(stats["deletes"]),
-        "invalidated": int(stats["invalidated"]),
-        "retained": int(stats["retained"]),
-        "cache_hits": int(stats["cache_hits"]),
-        "queries_computed": int(stats["queries_computed"]),
-        "lp_calls": int(counters.get("lp_calls", 0)),
-        "cells_examined": int(counters.get("cells_examined", 0)),
-        "candidates_generated": int(counters.get("candidates_generated", 0)),
-        "prefixes_cut": int(counters.get("prefixes_cut", 0)),
-        "pairwise_pruned": int(counters.get("pairwise_pruned", 0)),
-        "screen_accepts": int(counters.get("screen_accepts", 0)),
-        "screen_rejects": int(counters.get("screen_rejects", 0)),
-        "lines_inserted": int(counters.get("lines_inserted", 0)),
-        "faces_enumerated": int(counters.get("faces_enumerated", 0)),
-        "worker_retries": int(counters.get("worker_retries", 0)),
-        "degraded_batches": int(counters.get("degraded_batches", 0)),
-        "deadline_checks": int(counters.get("deadline_checks", 0)),
-        "screen_resolved_ratio": round(funnel["screen_resolved_ratio"], 4),
+        **{name: int(stats[name]) for name in (
+            "inserts", "deletes", "invalidated", "retained", "cache_hits",
+            "queries_computed",
+        )},
     }
 
 
-def run_obs_config(
-    config: ObsBenchConfig,
-    jobs: Optional[int] = None,
-) -> Dict[str, object]:
-    """Measure tracing overhead: the same queries untraced vs fully traced.
+def measure_obs(config: Config, jobs: Optional[int]) -> Measurement:
+    """``obs/``: the same queries answered untraced and fully traced.
 
-    Two hard gates run before anything is recorded (tracing that buys
-    observability with a changed answer is a bug, not a cost):
-
-    * every result fingerprint must be bit-identical between the traced
-      and the untraced pass, and
-    * every non-time counter must match *exactly* — not within the 15 %
-      work-counter tolerance; only the wall-clock ratio is a measurement.
-
-    The recorded ``wall_s`` is the *untraced* side, so the standard
-    calibrated wall gate also watches the disabled-path cost (the single
-    ``is None`` check per instrumented site) riding in every other
-    configuration.  Both passes run serial: ``--jobs`` batches trace
-    through a different span shape (``query_task``), which the smoke and
-    differential tests cover; this workload isolates the tracer cost.
+    Tracing that changes an answer or a counter is a bug, not a cost, so
+    before anything is recorded every result fingerprint and every
+    non-time counter must be identical between the passes, and the traced
+    pass must have recorded spans.  Both passes run serial: ``--jobs``
+    batches trace through a different span shape (``query_task``), which
+    the smoke and differential tests cover.
     """
     from repro.obs import Tracer
 
     del jobs  # see docstring: both passes deliberately serial
-
     dataset = generate(config.distribution, config.n, config.d, seed=0)
     tree = RStarTree.build(dataset.records)
     focals = [int(f) for f in select_focal_records(dataset, config.queries, seed=0)]
 
     def one_pass(traced: bool):
-        best = float("inf")
-        fingerprints: List[object] = []
-        k_stars: List[int] = []
-        region_counts: List[int] = []
-        dump: Dict[str, float] = {}
-        spans = 0
-        for _ in range(config.reps):
-            fingerprints, k_stars, region_counts = [], [], []
-            dump, spans = {}, 0
-            start = time.perf_counter()
-            for focal in focals:
-                counters = CostCounters()
-                tracer = handle = None
-                if traced:
-                    tracer = Tracer()
-                    counters._tracer = tracer
-                    handle = tracer.begin("request")
-                result = maxrank(dataset, focal, tau=config.tau, tree=tree,
-                                 counters=counters)
-                if tracer is not None:
-                    tracer.finish(handle)
-                    counters._tracer = None
-                    tracer.absorb(counters.drain_spans())
-                    spans += len(tracer.records())
-                fingerprints.append(result_fingerprint(result))
-                k_stars.append(result.k_star)
-                region_counts.append(result.region_count)
-                for name, value in counters.as_dict().items():
-                    if not name.startswith("time_"):
-                        dump[name] = dump.get(name, 0.0) + value
-            best = min(best, time.perf_counter() - start)
-        return best, fingerprints, k_stars, region_counts, dump, spans
+        results, dumps, spans = [], [], 0
+        for focal in focals:
+            counters = CostCounters()
+            tracer = handle = None
+            if traced:
+                tracer = Tracer()
+                counters._tracer = tracer
+                handle = tracer.begin("request")
+            results.append(maxrank(dataset, focal, tau=config.tau, tree=tree,
+                                   counters=counters))
+            if tracer is not None:
+                tracer.finish(handle)
+                counters._tracer = None
+                tracer.absorb(counters.drain_spans())
+                spans += len(tracer.records())
+            dumps.append({name: value for name, value in counters.as_dict().items()
+                          if not name.startswith("time_")})
+        return results, summed(dumps), spans
 
-    plain_wall, plain_fps, k_stars, region_counts, plain_dump, _ = one_pass(False)
-    traced_wall, traced_fps, _, _, traced_dump, spans = one_pass(True)
-
-    if traced_fps != plain_fps:
-        raise AssertionError(
-            f"{config.key}: tracing changed a result fingerprint"
-        )
-    if traced_dump != plain_dump:
+    results, counters, _ = one_pass(False)
+    traced_results, traced_counters, spans = one_pass(True)
+    if [result_fingerprint(r) for r in traced_results] != [
+        result_fingerprint(r) for r in results
+    ]:
+        raise AssertionError(f"{config.key}: tracing changed a result fingerprint")
+    if traced_counters != counters:
         drifted = sorted(
-            name for name in set(traced_dump) | set(plain_dump)
-            if traced_dump.get(name) != plain_dump.get(name)
+            name for name in set(traced_counters) | set(counters)
+            if traced_counters.get(name) != counters.get(name)
         )
-        raise AssertionError(
-            f"{config.key}: tracing changed counters: {drifted}"
-        )
+        raise AssertionError(f"{config.key}: tracing changed counters: {drifted}")
     if spans == 0:
         raise AssertionError(f"{config.key}: traced pass recorded no spans")
-
-    funnel = screen_funnel(plain_dump)
-    return {
-        "wall_s": round(plain_wall, 4),
-        "traced_wall_s": round(traced_wall, 4),
-        "overhead_ratio": round(traced_wall / plain_wall, 3) if plain_wall else 0.0,
-        "spans": int(spans),
-        "cpu_s": round(plain_wall / len(focals), 4),
-        "io": float(plain_dump.get("page_reads", 0)),
-        "k_stars": k_stars,
-        "region_counts": region_counts,
-        "lp_calls": int(plain_dump.get("lp_calls", 0)),
-        "cells_examined": int(plain_dump.get("cells_examined", 0)),
-        "candidates_generated": int(plain_dump.get("candidates_generated", 0)),
-        "prefixes_cut": int(plain_dump.get("prefixes_cut", 0)),
-        "pairwise_pruned": int(plain_dump.get("pairwise_pruned", 0)),
-        "screen_accepts": int(plain_dump.get("screen_accepts", 0)),
-        "screen_rejects": int(plain_dump.get("screen_rejects", 0)),
-        "lines_inserted": int(plain_dump.get("lines_inserted", 0)),
-        "faces_enumerated": int(plain_dump.get("faces_enumerated", 0)),
-        "worker_retries": int(plain_dump.get("worker_retries", 0)),
-        "degraded_batches": int(plain_dump.get("degraded_batches", 0)),
-        "deadline_checks": int(plain_dump.get("deadline_checks", 0)),
-        "screen_resolved_ratio": round(funnel["screen_resolved_ratio"], 4),
-        "halfspaces_inserted": int(plain_dump.get("halfspaces_inserted", 0)),
-        "nodes_created": int(plain_dump.get("nodes_created", 0)),
-        "splits_performed": int(plain_dump.get("splits_performed", 0)),
-        "build_tasks": int(plain_dump.get("build_tasks", 0)),
+    return results, counters, {
+        "io": float(counters.get("page_reads", 0)), "spans": int(spans),
     }
 
 
-def run_serve_config(config: ServeBenchConfig) -> Dict[str, object]:
-    """Measure the network front closed-loop: sockets, router, admission.
+def measure_serve(config: Config, jobs: Optional[int]) -> Measurement:
+    """``serve/``: the network front closed-loop — sockets, router, admission.
 
-    ``clients`` threads each hold one TCP connection to an in-process
-    :class:`ThreadedLineServer` and issue their seeded request plan,
-    measuring per-request latency.  Three correctness gates run before
-    anything is recorded: every response payload must equal the standalone
-    ``maxrank()`` payload for its key, each unique key must have been
-    computed exactly once across both shards, and the admission layer must
-    have coalesced at least one duplicate (the barrier-synchronised hot
-    key guarantees a collision to coalesce).
+    Two shards (IND at ``d`` and at ``d + 1``) are served by one in-process
+    :class:`ThreadedLineServer` on a kernel-picked port.  ``clients``
+    threads each hold one TCP connection and issue a seeded plan: the first
+    request of every client is the same hot key (barrier-synchronised, so
+    single-flight provably coalesces), each later one the hot key with
+    probability ``hot_share`` or a uniform cold key otherwise.  Three gates
+    run before anything is recorded: every payload equals the standalone
+    ``maxrank()`` payload of its key, each unique key is computed exactly
+    once across both shards, and at least one duplicate coalesced.
     """
-    import json as json_mod
     import random
     import socket
-    import statistics
     import threading
 
     from repro.obs.snapshot import serving_snapshot
@@ -840,32 +490,26 @@ def run_serve_config(config: ServeBenchConfig) -> Dict[str, object]:
         _answer_payload, _RouterBackend,
     )
 
+    del jobs  # a served miss is one query on its connection thread
     datasets = {
         "a": generate("IND", config.n, config.d, seed=0),
         "b": generate("IND", max(120, config.n // 2), config.d + 1, seed=1),
     }
-    focals = {
-        shard: select_focal_records(dataset, config.unique, seed=0)
-        for shard, dataset in datasets.items()
-    }
     keys = [
         (shard, int(focal), config.tau)
         for shard in sorted(datasets)
-        for focal in focals[shard]
+        for focal in select_focal_records(datasets[shard], config.queries, seed=0)
     ]
-    hot_key = keys[0]
-    cold_keys = keys[1:]
+    hot_key, cold_keys = keys[0], keys[1:]
 
     # Standalone references: the payload each response must equal, bit for
     # bit (k*, region count, dominators, tau and the rounded representative).
+    results = [maxrank(datasets[shard], focal, tau=tau) for shard, focal, tau in keys]
     references = {}
-    for shard, focal, tau in keys:
-        result = maxrank(datasets[shard], focal, tau=tau)
-        payload = _answer_payload(result, False)
-        payload.pop("cache_hit")
-        references[(shard, focal, tau)] = payload
+    for key, result in zip(keys, results):
+        references[key] = _answer_payload(result, False)
+        references[key].pop("cache_hit")
 
-    # Seeded skewed plans: first request hot everywhere, then hot_share.
     plans = []
     for client in range(config.clients):
         rng = random.Random(1000 + client)
@@ -885,9 +529,6 @@ def run_serve_config(config: ServeBenchConfig) -> Dict[str, object]:
     )
     server_thread = threading.Thread(target=server.serve_forever, daemon=True)
     server_thread.start()
-
-    latencies: List[float] = []
-    latency_lock = threading.Lock()
     failures: List[str] = []
     barrier = threading.Barrier(config.clients + 1)
 
@@ -896,14 +537,11 @@ def run_serve_config(config: ServeBenchConfig) -> Dict[str, object]:
         stream = sock.makefile("rwb")
         try:
             barrier.wait()
-            local = []
             for shard, focal, tau in plan:
                 request = {"dataset": shard, "focal": focal, "tau": tau}
-                sent = time.perf_counter()
-                stream.write((json_mod.dumps(request) + "\n").encode())
+                stream.write((json.dumps(request) + "\n").encode())
                 stream.flush()
-                answer = json_mod.loads(stream.readline())
-                local.append(time.perf_counter() - sent)
+                answer = json.loads(stream.readline())
                 answer.pop("cache_hit", None)
                 if answer != references[(shard, focal, tau)]:
                     failures.append(
@@ -911,30 +549,20 @@ def run_serve_config(config: ServeBenchConfig) -> Dict[str, object]:
                         f"from standalone maxrank()"
                     )
                     return
-            with latency_lock:
-                latencies.extend(local)
         finally:
             sock.close()
 
-    workers = [
-        threading.Thread(target=client_loop, args=(plan,)) for plan in plans
-    ]
+    workers = [threading.Thread(target=client_loop, args=(plan,)) for plan in plans]
     try:
         for worker in workers:
             worker.start()
         barrier.wait()
-        start = time.perf_counter()
         for worker in workers:
             worker.join()
-        wall = time.perf_counter() - start
-        # One source of truth for the serving tallies: the same
-        # consolidated snapshot the ``{"cmd": "metrics"}`` verb and the
-        # Prometheus collector read, instead of re-summing router.stats().
+        # The serving tallies come from the same consolidated snapshot the
+        # ``{"cmd": "metrics"}`` verb and the Prometheus collector read.
         snapshot = serving_snapshot(router)
-        counters: Dict[str, float] = {}
-        for service in shards.values():
-            for name, value in service.counters.as_dict().items():
-                counters[name] = counters.get(name, 0.0) + value
+        counters = summed(service.counters.as_dict() for service in shards.values())
     finally:
         server.shutdown()
         server_thread.join(timeout=30)
@@ -942,55 +570,130 @@ def run_serve_config(config: ServeBenchConfig) -> Dict[str, object]:
 
     if failures:
         raise AssertionError(failures[0])
-    total_requests = config.clients * config.requests_per_client
-    admitted = int(snapshot["admitted"])
-    coalesced = int(snapshot["coalesced"])
     computed = int(snapshot["queries_computed"])
     if computed != len(keys):
         raise AssertionError(
             f"{config.key}: expected exactly-once computation of {len(keys)} "
             f"unique keys, measured {computed}"
         )
-    if coalesced < 1:
+    if int(snapshot["coalesced"]) < 1:
         raise AssertionError(
             f"{config.key}: single-flight coalesced nothing despite the "
             f"barrier-synchronised hot key"
         )
-
-    ordered = sorted(latencies)
-    p50 = statistics.median(ordered)
-    p99 = ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
-    funnel = screen_funnel(counters)
-    return {
-        "wall_s": round(wall, 4),
-        "cpu_s": round(p50, 5),
-        "io": 0.0,
+    return results, counters, {
         "clients": config.clients,
-        "requests": total_requests,
+        "requests": config.clients * config.requests_per_client,
         "unique": len(keys),
-        "p50_ms": round(p50 * 1000, 3),
-        "p99_ms": round(p99 * 1000, 3),
-        "qps": round(total_requests / wall, 1) if wall > 0 else 0.0,
-        "admitted": admitted,
-        "coalesced": coalesced,
+        "admitted": int(snapshot["admitted"]),
+        "coalesced": int(snapshot["coalesced"]),
         "queries_computed": computed,
         "cache_hits": int(counters.get("cache_hits", 0)),
-        "k_stars": [references[key]["k_star"] for key in keys],
-        "region_counts": [references[key]["regions"] for key in keys],
-        "lp_calls": int(counters.get("lp_calls", 0)),
-        "cells_examined": int(counters.get("cells_examined", 0)),
-        "candidates_generated": int(counters.get("candidates_generated", 0)),
-        "prefixes_cut": int(counters.get("prefixes_cut", 0)),
-        "pairwise_pruned": int(counters.get("pairwise_pruned", 0)),
-        "screen_accepts": int(counters.get("screen_accepts", 0)),
-        "screen_rejects": int(counters.get("screen_rejects", 0)),
-        "lines_inserted": int(counters.get("lines_inserted", 0)),
-        "faces_enumerated": int(counters.get("faces_enumerated", 0)),
-        "worker_retries": int(counters.get("worker_retries", 0)),
-        "degraded_batches": int(counters.get("degraded_batches", 0)),
-        "deadline_checks": int(counters.get("deadline_checks", 0)),
-        "screen_resolved_ratio": round(funnel["screen_resolved_ratio"], 4),
     }
+
+
+@dataclass(frozen=True)
+class Family:
+    """One workload family: its hook, its configurations and its own gates.
+
+    ``exact`` counters must equal their committed value; ``at_least``
+    counters may not drop below it; ``report`` names the family's own
+    fields printed beside the shared report columns.
+    """
+
+    name: str
+    measure: Callable[[Config, Optional[int]], Measurement]
+    configs: Tuple[Config, ...]
+    exact: Tuple[str, ...] = ()
+    at_least: Tuple[str, ...] = ()
+    report: Tuple[str, ...] = ()
+
+
+FAMILIES: Tuple[Family, ...] = (
+    Family("fig", measure_queries, (
+        Config("quick/fig9/d=4", "IND", 150, 4, quick=True),
+        Config("fig9/d=3", "IND", 400, 3, queries=2, quick=True),
+        Config("fig9/d=4", "IND", 300, 4, queries=2, quick=True),
+        Config("fig9/d=5", "IND", 300, 5),
+        Config("fig8/IND/n=600", "IND", 600, 4, queries=2),
+        Config("fig8/COR/n=600", "COR", 600, 4, queries=2),
+        Config("fig8/ANTI/n=600", "ANTI", 600, 4, queries=2),
+        # d = 3 on anticorrelated data: the depth-capped fat leaves make the
+        # combinatorial within-leaf enumeration infeasible (>500 s per
+        # batch); only the planar sweep keeps it sub-second.
+        Config("fig8/ANTI/d=3", "ANTI", 600, 3, queries=2),
+        # iMaxRank at d = 3: tau widens the explored Hamming weights, the
+        # regime where the planar sweep replaces the C(m, w) enumeration.
+        Config("fig10/d=3/tau=3", "IND", 400, 3, queries=2, tau=3),
+    )),
+    # The split cascade is deterministic and, by the parallel-identity
+    # contract, invariant under --jobs, so the construction volume is gated
+    # exactly.  ``build_tasks`` is not: it counts subtree units shipped to
+    # workers (0 when serial).
+    Family("build", measure_build, (
+        # The small-n d = 4 shape the cost policy must recover (the static
+        # numbers live in quick/fig9/d=4).
+        Config("build/quick/fig9/d=4/cost", "IND", 150, 4, quick=True,
+               split_policy="cost"),
+        # Cold construction at scale, depth capped at 5 (a full 8-ary
+        # depth-5 tree is at most 37k nodes), long enough to parallelise.
+        Config("build/cold/d=4/n=4000", "IND", 4000, 4, queries=0, max_depth=5,
+               quick=True),
+        Config("build/cold/d=4/n=50000", "IND", 50000, 4, queries=0, max_depth=5),
+    ), exact=("halfspaces_inserted", "nodes_created", "splits_performed"),
+       report=("nodes_created", "splits_performed", "build_tasks")),
+    # Seeded plans, single-flight and the result cache make computation
+    # exactly-once per unique key regardless of thread scheduling.
+    # ``coalesced`` depends on timing and is only required to be positive.
+    Family("serve", measure_serve, (
+        Config("serve/quick/mixed", "IND", 250, 3, queries=6, quick=True),
+        Config("serve/load/hot", "IND", 400, 3, queries=8, tau=1,
+               requests_per_client=25, hot_share=0.6),
+    ), exact=("admitted", "queries_computed", "requests"),
+       report=("cache_hits", "coalesced")),
+    Family("obs", measure_obs, (
+        Config("obs/overhead/d=3", "IND", 400, 3, queries=2, tau=1, quick=True),
+    ), report=("spans",)),
+    # Deterministic "the service skipped work" tallies: a drop is the
+    # regression.
+    Family("service", measure_service, (
+        Config("service/fig9/d=3", "IND", 400, 3, queries=8, quick=True),
+        Config("service/fig9/d=4", "IND", 300, 4, queries=8, quick=True),
+        Config("service/fig9/d=5", "IND", 300, 5, queries=8),
+        Config("service/fig8/ANTI", "ANTI", 600, 4, queries=8),
+    ), at_least=("cache_hits", "skyline_reused"),
+       report=("cold_wall_s", "cache_hits")),
+    # The mutation sequence is frozen and scoped invalidation deterministic:
+    # retaining less (lost scoping) or evicting less (an unsound predicate)
+    # is a behavioural change.
+    Family("update", measure_update, (
+        Config("update/fig9/d=3", "IND", 400, 3, queries=8, tau=1, quick=True),
+        Config("update/fig8/ANTI", "ANTI", 300, 4, queries=8, tau=1),
+    ), exact=("inserts", "deletes", "invalidated", "retained"),
+       report=("cache_hits", "invalidated", "retained")),
+)
+
+_FAMILY_BY_PREFIX = {family.name: family for family in FAMILIES}
+
+
+def family_of(key: str) -> Family:
+    """The family a configuration key belongs to (``fig*`` keys carry no
+    family prefix)."""
+    return _FAMILY_BY_PREFIX.get(key.split("/", 1)[0], FAMILIES[0])
+
+
+def record(
+    results: Sequence[object], counters: Mapping[str, float], fields: Mapping[str, object]
+) -> Dict[str, object]:
+    """One configuration's record: fingerprint, recorded counters and the
+    family's own fields."""
+    entry: Dict[str, object] = {
+        "k_stars": [result.k_star for result in results],
+        "region_counts": [result.region_count for result in results],
+    }
+    entry.update((name, int(counters.get(name, 0))) for name in RECORDED_COUNTERS)
+    entry.update(fields)
+    return entry
 
 
 def run_matrix(
@@ -998,51 +701,17 @@ def run_matrix(
     jobs: Optional[int] = None,
     family: str = "all",
 ) -> Dict[str, Dict[str, object]]:
-    """Run the (possibly restricted) workload matrix.
-
-    ``family="build"`` restricts the run to the ``build/`` configurations
-    (the construction-focused subset CI smokes with ``--jobs 2``);
-    ``family="serve"`` to the closed-loop network-serving configurations
-    (the CI serve smoke); ``family="obs"`` to the tracing-overhead
-    configurations (the CI obs smoke); ``"all"`` runs everything.
-    """
+    """Run the workload matrix, or one family of it (``family`` is a
+    ``--family`` value)."""
     results: Dict[str, Dict[str, object]] = {}
-    if family == "all":
-        for config in CONFIGS:
+    for fam in FAMILIES:
+        if family not in ("all", fam.name):
+            continue
+        for config in fam.configs:
             if quick and not config.quick:
                 continue
             print(f"running {config.key} ...", flush=True)
-            results[config.key] = run_config(config, jobs=jobs)
-    if family in ("all", "build"):
-        for build_config in BUILD_CONFIGS:
-            if quick and not build_config.quick:
-                continue
-            print(f"running {build_config.key} (construction) ...", flush=True)
-            results[build_config.key] = run_build_config(build_config, jobs=jobs)
-    if family in ("all", "serve"):
-        for serve_config in SERVE_CONFIGS:
-            if quick and not serve_config.quick:
-                continue
-            print(f"running {serve_config.key} (closed-loop load) ...", flush=True)
-            results[serve_config.key] = run_serve_config(serve_config)
-    if family in ("all", "obs"):
-        for obs_config in OBS_CONFIGS:
-            if quick and not obs_config.quick:
-                continue
-            print(f"running {obs_config.key} (tracing overhead) ...", flush=True)
-            results[obs_config.key] = run_obs_config(obs_config, jobs=jobs)
-    if family != "all":
-        return results
-    for service_config in SERVICE_CONFIGS:
-        if quick and not service_config.quick:
-            continue
-        print(f"running {service_config.key} (cold vs warm) ...", flush=True)
-        results[service_config.key] = run_service_config(service_config, jobs=jobs)
-    for update_config in UPDATE_CONFIGS:
-        if quick and not update_config.quick:
-            continue
-        print(f"running {update_config.key} (query/mutate) ...", flush=True)
-        results[update_config.key] = run_update_config(update_config, jobs=jobs)
+            results[config.key] = record(*fam.measure(config, jobs))
     return results
 
 
@@ -1067,10 +736,7 @@ def compare(
     ``--jobs`` runs, where the committed baseline is serial and the
     wall-clock depends on the host's core count; the fingerprint and
     counter gates (which a correct parallel run must pass unchanged) stay.
-    ``serial_run=False`` (also a ``--jobs`` property, but deliberately a
-    separate flag) additionally skips the ``skyline_reused`` amortisation
-    gate: pool workers fork with a cold skyline cache, so that counter
-    depends on worker scheduling under ``--jobs``.
+    ``serial_run=False`` additionally skips :data:`SERIAL_ONLY_COUNTERS`.
     """
     failures: List[str] = []
     base_entries = baseline.get("current", {}).get("configs", {})
@@ -1080,6 +746,7 @@ def compare(
         if base is None:
             failures.append(f"{key}: missing from committed baseline")
             continue
+        family = family_of(key)
         for field in ("k_stars", "region_counts"):
             if entry[field] != base[field]:
                 failures.append(
@@ -1093,53 +760,24 @@ def compare(
                 failures.append(
                     f"{key}: {counter} regressed {base_value:.0f} -> {value:.0f}"
                 )
-        if key.startswith("service/"):
-            # Amortisation gates: the service family must keep skipping at
-            # least as much work as the committed baseline (deterministic
-            # counts, so any drop is a real lost optimisation).
-            for counter in SERVICE_MIN_COUNTERS:
-                if counter == "skyline_reused" and not serial_run:
-                    continue  # worker forks start cold under --jobs
-                base_value = float(base.get(counter, 0))
-                value = float(entry.get(counter, 0))
-                if value < base_value:
-                    failures.append(
-                        f"{key}: {counter} dropped {base_value:.0f} -> {value:.0f} "
-                        f"(lost service amortisation)"
-                    )
-        if key.startswith("update/"):
-            for counter in UPDATE_EXACT_COUNTERS:
-                base_value = int(base.get(counter, -1))
-                value = int(entry.get(counter, -1))
-                if value != base_value:
-                    failures.append(
-                        f"{key}: {counter} changed {base_value} -> {value} "
-                        f"(scoped mutation invalidation drifted)"
-                    )
-        if key.startswith("serve/"):
-            # Exactly-once totals of the serving front: the request plans
-            # are seeded and single-flight + cache make computation
-            # exactly-once per unique key, so any drift is behavioural.
-            for counter in SERVE_EXACT_COUNTERS:
-                base_value = int(base.get(counter, -1))
-                value = int(entry.get(counter, -1))
-                if value != base_value:
-                    failures.append(
-                        f"{key}: {counter} changed {base_value} -> {value} "
-                        f"(admission/serving behaviour drifted)"
-                    )
-        if key.startswith("build/"):
-            # Construction gates: the split cascade is deterministic and
-            # serial/parallel-invariant, so these must match exactly — a
-            # drift means the tree being built changed shape.
-            for counter in BUILD_EXACT_COUNTERS:
-                base_value = int(base.get(counter, -1))
-                value = int(entry.get(counter, -1))
-                if value != base_value:
-                    failures.append(
-                        f"{key}: {counter} changed {base_value} -> {value} "
-                        f"(construction volume drifted)"
-                    )
+        for counter in family.exact:
+            base_value = int(base.get(counter, -1))
+            value = int(entry.get(counter, -1))
+            if value != base_value:
+                failures.append(
+                    f"{key}: {counter} changed {base_value} -> {value} "
+                    f"({family.name}/ gates it exactly)"
+                )
+        for counter in family.at_least:
+            if counter in SERIAL_ONLY_COUNTERS and not serial_run:
+                continue
+            base_value = float(base.get(counter, 0))
+            value = float(entry.get(counter, 0))
+            if value < base_value:
+                failures.append(
+                    f"{key}: {counter} dropped {base_value:.0f} -> {value:.0f} "
+                    f"(lost {family.name}/ amortisation)"
+                )
         for counter in ROBUSTNESS_ZERO_COUNTERS:
             base_value = float(base.get(counter, 0))
             value = float(entry.get(counter, 0))
@@ -1151,11 +789,10 @@ def compare(
                 )
         if (
             wall_gate
-            and not key.startswith("serve/")  # closed-loop latency is
-            # scheduling, not algorithm work; p50/p99/qps are trajectory only
             and base_calibration > 0
             and current_calibration > 0
-            and float(base["wall_s"]) >= WALL_FLOOR_S
+            and "wall_s" in entry
+            and float(base.get("wall_s", 0.0)) >= WALL_FLOOR_S
         ):
             base_scaled = float(base["wall_s"]) / base_calibration
             scaled = float(entry["wall_s"]) / current_calibration
@@ -1169,43 +806,25 @@ def compare(
 
 
 def print_report(results: Dict[str, Dict[str, object]]) -> None:
+    """Shared columns for every record, then each family's own fields."""
     rows = []
+    columns = ["config", "wall_s", "k*", "|T|", "lp", "generated", "cut", "screened%"]
     for key, entry in results.items():
         row = {
             "config": key,
-            "wall_s": entry["wall_s"],
+            "wall_s": entry.get("wall_s", "-"),
             "k*": "/".join(str(v) for v in entry["k_stars"]),
             "|T|": "/".join(str(v) for v in entry["region_counts"]),
             "lp": entry["lp_calls"],
-            "generated": entry.get("candidates_generated", entry["cells_examined"]),
-            "cut": entry.get("prefixes_cut", 0),
-            "screened%": round(100 * entry["screen_resolved_ratio"], 1),
+            "generated": entry["candidates_generated"],
+            "cut": entry["prefixes_cut"],
+            "screened%": round(100 * screen_funnel(entry)["screen_resolved_ratio"], 1),
         }
-        if key.startswith("service/"):
-            row["k*"] = "/".join(str(v) for v in entry["k_stars"][: entry["unique"]])
-            row["|T|"] = "/".join(
-                str(v) for v in entry["region_counts"][: entry["unique"]]
-            )
-            row["warm_x"] = entry["speedup"]
-            row["hits"] = entry["cache_hits"]
-        if key.startswith("update/"):
-            row["hits"] = entry["cache_hits"]
-            row["inv"] = entry["invalidated"]
-            row["ret"] = entry["retained"]
-        if key.startswith("build/"):
-            row["nodes"] = entry["nodes_created"]
-            row["splits"] = entry["splits_performed"]
-            row["tasks"] = entry["build_tasks"]
-        if key.startswith("serve/"):
-            row["hits"] = entry["cache_hits"]
-            row["qps"] = entry["qps"]
-            row["p50ms"] = entry["p50_ms"]
-            row["p99ms"] = entry["p99_ms"]
-            row["coal"] = entry["coalesced"]
+        for name in family_of(key).report:
+            row[name] = entry[name]
+            if name not in columns:
+                columns.append(name)
         rows.append(row)
-    columns = ["config", "wall_s", "k*", "|T|", "lp", "generated", "cut",
-               "screened%", "warm_x", "hits", "inv", "ret",
-               "nodes", "splits", "tasks", "qps", "p50ms", "p99ms", "coal"]
     print()
     print(format_table(rows, columns, title="MaxRank benchmark matrix"))
 
@@ -1220,14 +839,10 @@ def print_funnel_comparison(
     re-materialises pruned candidates shows up even when wall-clock absorbs
     it.
     """
-    def funnel_candidates(record: Dict[str, object]) -> object:
-        if not record:
+    def funnel_candidates(entry: Optional[Dict[str, object]]) -> object:
+        if not entry:
             return "-"
-        if "candidates_generated" in record:
-            generated = record["candidates_generated"]
-        else:  # pre-DFS baseline records
-            generated = record.get("cells_examined", 0)
-        return int(generated) + int(record.get("pairwise_pruned", 0))
+        return int(entry.get("candidates_generated", 0)) + int(entry.get("pairwise_pruned", 0))
 
     base_entries = (baseline or {}).get("current", {}).get("configs", {})
     rows = []
@@ -1235,8 +850,8 @@ def print_funnel_comparison(
         rows.append({
             "config": key,
             "candidates": funnel_candidates(entry),
-            "baseline": funnel_candidates(base_entries.get(key, {})),
-            "cut": entry.get("prefixes_cut", 0),
+            "baseline": funnel_candidates(base_entries.get(key)),
+            "cut": entry["prefixes_cut"],
             "accepts": entry["screen_accepts"],
             "rejects": entry["screen_rejects"],
             "lp": entry["lp_calls"],
@@ -1262,7 +877,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="restrict the matrix to one workload family "
                              "('build' = the construction-focused configs, "
                              "'serve' = the closed-loop network-serving "
-                             "configs, 'obs' = the tracing-overhead "
+                             "configs, 'obs' = the tracing bit-identity "
                              "configs; all used by CI smokes)")
     args = parser.parse_args(argv)
     if args.update and args.jobs and args.jobs > 1:
@@ -1300,7 +915,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.update:
         baseline = load_baseline() or {}
-        previous = baseline.get("current", {}).get("configs", {})
+        # Records of an older schema carry other fields; never merge them.
+        previous = (
+            baseline.get("current", {}).get("configs", {})
+            if baseline.get("schema") == SCHEMA else {}
+        )
         merged = dict(previous)
         merged.update(results)
         baseline["schema"] = SCHEMA

@@ -16,8 +16,8 @@ discovery is *shared* with :func:`repro.core.aa.aa_maxrank` — the skyline
 maintenance, the quad-tree, the expansion loop, the leaf scheduling, the
 execution engine — which is what makes the two paths bit-identical: the
 planar sweep only changes *which* candidates are examined, never how a
-candidate is decided (same pairwise filter, same exact clipping test, same
-witness centroids).  ``tests/test_differential.py`` pins this equivalence
+candidate is decided (same pairwise filter, same cell test, same
+witnesses).  ``tests/test_differential.py`` pins this equivalence
 against the generic path and the brute-force oracle on randomized
 workloads.
 

@@ -28,14 +28,14 @@ Equivalence contract
 --------------------
 The arrangement is used for *discovery only*: it over-approximates the set
 of non-empty cells (its face-retention threshold :data:`SPLIT_MIN_AREA` is
-two orders of magnitude below the emptiness threshold of the exact clipping
-test in :mod:`repro.geometry.clipping`), and every discovered cover set is
-re-certified by the same per-bit-string clipping sequence the generic path
-runs.  A cell the generic path reports therefore intersects at least one
-retained face with the identical cover set, and every candidate the sweep
-proposes passes or fails the identical final test — which is what makes the
-planar and the generic engine bit-identical (the differential harness in
-``tests/test_differential.py`` cross-checks this on randomized workloads).
+below the area of the smallest ball the LP emptiness rule accepts), and
+every discovered cover set is re-certified by the same per-bit-string cell
+test the generic path runs.  A cell the generic path reports therefore
+intersects at least one retained face with the identical cover set, and
+every candidate the sweep proposes passes or fails the identical final
+test — which is what makes the planar and the generic engine bit-identical
+(the differential harness in ``tests/test_differential.py`` cross-checks
+this on randomized workloads).
 """
 
 from __future__ import annotations
@@ -53,10 +53,12 @@ from .halfspace import Halfspace
 __all__ = ["PlanarFace", "PlanarArrangement", "SPLIT_MIN_AREA"]
 
 #: Faces whose area falls below this threshold are dropped during a split.
-#: Deliberately far below :data:`repro.geometry.clipping.MIN_AREA` (and the
-#: ``1e-14`` emptiness cut of the within-leaf clipping test): the arrangement
-#: must *over*-approximate the non-empty cells, so that the exact clipping
-#: re-certification — not the sweep — is the authority on emptiness.
+#: The sweep relies on ``1e-18 < π·MIN_INTERIOR_RADIUS²`` (about 3.1e-18):
+#: a cell the LP rule calls non-empty holds a ball of radius
+#: ``MIN_INTERIOR_RADIUS``, so its area exceeds this threshold and it
+#: survives as a face.  The arrangement thus *over*-approximates the
+#: non-empty cells, and the per-cell re-certification — not the sweep — is
+#: the authority on emptiness.
 SPLIT_MIN_AREA = 1e-18
 
 

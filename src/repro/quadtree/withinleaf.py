@@ -48,8 +48,10 @@ Two optimisations from the paper are implemented on top:
   solved in closed form by a vectorised fractional-knapsack maximisation,
   for all pairs and orientations at once (instead of the former four LPs
   per pair);
-* an exact **polygon-clipping fast path** for the 2-dimensional reduced
-  query space (data dimensionality 3), which avoids the LP entirely.
+* a **polygon-clipping screen** for the 2-dimensional reduced query space
+  (data dimensionality 3): an empty clip rejects and a centroid clear of
+  every constraint accepts, so only thin slivers reach the LP, whose
+  inscribed-radius rule stays the one emptiness rule.
 
 AA re-scans reuse per-leaf state across iterations: a grown leaf's
 replacement processor inherits the previous processor's witness probes, its
@@ -67,8 +69,8 @@ generation is replaced wholesale: one incremental
 ``leaf box ∩ simplex`` is built per leaf (``O(m²)`` face splits instead of
 ``C(m, w)`` clip sequences per weight) and every requested weight reads its
 candidates straight off the faces' cover bitsets.  Each candidate is still
-resolved by the *same* pairwise filter and the *same* exact clipping test as
-the generic path, so the discovered cells — bit-strings, witness centroids,
+resolved by the *same* pairwise filter and the *same* cell test as the
+generic path, so the discovered cells — bit-strings, witnesses,
 ``nonempty_cells`` accounting — are bit-identical; only the volume of
 candidates examined shrinks.  AA re-scans retain the arrangement through
 :class:`LeafReuseState` and insert only the newly arrived half-planes.
@@ -439,7 +441,7 @@ class WithinLeafProcessor:
         one incremental line arrangement instead of the ``C(m, w)``
         enumeration.  Ignored for other dimensionalities.  Cell discovery
         stays bit-identical to the generic path — every candidate passes the
-        same pairwise filter and exact clipping test.
+        same pairwise filter and cell test.
     planar:
         A previously built :class:`~repro.geometry.planar.PlanarArrangement`
         for *exactly* this partial-id list and leaf box, adopted verbatim
@@ -677,7 +679,17 @@ class WithinLeafProcessor:
         return result.point if result.feasible else None
 
     def _test_cell_clipping(self, bits: Tuple[int, ...]) -> Optional[np.ndarray]:
-        """Exact polygon-clipping feasibility for the 2-D reduced space."""
+        """Feasibility in the 2-D reduced space: clipping screens the LP.
+
+        The LP's inscribed-radius rule is the one emptiness rule (the same
+        one :class:`~repro.geometry.polytope.ConvexPolytope` applies to the
+        reported regions); clipping only screens it.  An empty clip rejects.
+        A centroid that clears every oriented row, base row and box side by
+        the accept-screen margin holds a ball wider than the LP's radius
+        threshold, so it accepts with the centroid as witness.  Every other
+        cell — a thin sliver can have area yet no inscribed radius — goes
+        to the LP.
+        """
         polygon = box_polygon(self.lower, self.upper)
         for constraint in self._base:
             polygon = clip_polygon(polygon, constraint)
@@ -687,9 +699,23 @@ class WithinLeafProcessor:
             polygon = clip_polygon(polygon, inside if bit else outside)
             if polygon is None:
                 return None
-        if polygon_area(polygon) <= max(MIN_AREA, 1e-14):
-            return None
-        return polygon_centroid(polygon)
+        if polygon_area(polygon) > MIN_AREA:
+            centroid = polygon_centroid(polygon)
+            threshold = ACCEPT_MARGIN_FACTOR * MIN_INTERIOR_RADIUS
+            signs = np.where(np.asarray(bits, dtype=bool), 1.0, -1.0)
+            row_margins = signs * (
+                self._partial_A @ centroid - self._partial_b
+            ) / self._partial_norms
+            base_margins = (self._base_A @ centroid - self._base_b) / np.linalg.norm(
+                self._base_A, axis=1
+            )
+            if (
+                min((centroid - self.lower).min(), (self.upper - centroid).min()) > threshold
+                and (base_margins > threshold).all()
+                and (row_margins > threshold).all()
+            ):
+                return centroid
+        return self._test_cell_lp(bits)
 
     # ------------------------------------------------------------ enumeration
     #: Candidates processed per vectorised batch; bounds the bit-matrix
@@ -952,9 +978,9 @@ class WithinLeafProcessor:
         """Read one weight's candidates off the planar arrangement's faces.
 
         Every candidate runs through the same pairwise filter and the same
-        exact clipping test (:meth:`_test_cell`) as the generic per-cell
+        cell test (:meth:`_test_cell`) as the generic per-cell
         path — the arrangement only *discovers* which cover sets can be
-        non-empty, so the emitted cells (and their witness centroids) are
+        non-empty, so the emitted cells (and their witnesses) are
         bit-identical to the generic enumeration's.
         """
         self._ensure_planar()

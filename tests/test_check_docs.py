@@ -1,4 +1,5 @@
-"""``tools/check_docs.py``: documented service commands must match the CLI."""
+"""``tools/check_docs.py``: documented service commands must match the CLI,
+and the trajectory table must match the committed baseline."""
 
 from __future__ import annotations
 
@@ -57,3 +58,40 @@ def test_verb_help_lists_the_live_flags():
 
 def test_repository_docs_pass():
     assert check_docs.main([]) == 0
+
+
+TRAJECTORY = """\
+| config   | seed (s) | current (s) |
+|----------|---------:|------------:|
+| fig9/d=4 |     2.50 |        0.40 |
+| fig9/d=5 |    54.38 |        0.74 |
+| fig9/d=9 |     1.00 |        1.00 |
+
+| other    | current (s) is not a header here |
+|----------|------|
+"""
+
+
+def test_trajectory_cells_read_only_the_current_column():
+    assert check_docs.trajectory_cells(TRAJECTORY) == [
+        (3, "fig9/d=4", "0.40"), (4, "fig9/d=5", "0.74"), (5, "fig9/d=9", "1.00"),
+    ]
+
+
+def test_trajectory_mismatch_fails(tmp_path):
+    doc = tmp_path / "PERFORMANCE.md"
+    doc.write_text(TRAJECTORY)
+    configs = {"fig9/d=4": {"wall_s": 0.4045}, "fig9/d=5": {"wall_s": 0.7307}}
+    failures = check_docs.check_trajectory(doc, configs)
+    assert len(failures) == 2
+    assert "PERFORMANCE.md:4: fig9/d=5 reads 0.74, the baseline's wall_s is 0.73" in failures[0]
+    assert "PERFORMANCE.md:5: fig9/d=9 has no wall_s" in failures[1]
+    configs["fig9/d=5"]["wall_s"] = 0.7449
+    configs["fig9/d=9"] = {"wall_s": 1.0}
+    assert check_docs.check_trajectory(doc, configs) == []
+
+
+def test_trajectory_table_must_exist(tmp_path):
+    doc = tmp_path / "PERFORMANCE.md"
+    doc.write_text("No table.\n")
+    assert "no table with a 'current (s)' column" in check_docs.check_trajectory(doc, {})[0]

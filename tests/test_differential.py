@@ -36,8 +36,10 @@ import numpy as np
 import pytest
 
 from repro import CostCounters, generate, maxrank
-from repro.core import aa_maxrank, ba_maxrank
+from repro.core import aa_maxrank, ba_maxrank, maxrank_exact_small
+from repro.data.dataset import Dataset
 from repro.obs import Tracer
+from repro.service.core import MaxRankService
 from repro.skyline.dominance import partition_by_dominance
 from repro.topk.scoring import order_of
 
@@ -294,6 +296,50 @@ class TestTracedBitIdentity3D:
         assert records, "traced run recorded no spans"
         names = {record.name for record in records}
         assert "request" in names and "skyline" in names
+
+
+#: A record 10⁹–10¹² times larger than the rest cuts ``d = 3`` cells into
+#: slivers that have polygon area but no LP inscribed radius.  ``(scale,
+#: focal)`` pairs over ``generate("IND", 30, 3, seed=71)`` plus the record
+#: ``[scale, 0, 0]``, and per focal a record subset small enough for the
+#: oracle that still cuts such a sliver.
+SLIVER_CASES = [(1e9, 0), (1e9, 4), (1e9, 10), (1e12, 0), (1e12, 4)]
+SLIVER_SUBSETS = {
+    0: [0, 8, 11, 13, 14, 16, 20, 22, 23, 26, 27],
+    4: [4, 5, 8, 11, 12, 13, 14, 20, 22, 23, 26],
+    10: [10, 14, 15, 16, 17, 20, 22, 23, 26, 27, 29],
+}
+
+
+class TestThinSliver3D:
+    """Cells and regions share one emptiness rule (the LP inscribed radius):
+    a sliver the cell test accepts must be a region with an interior."""
+
+    @pytest.mark.parametrize("scale,focal", SLIVER_CASES)
+    def test_served_regions_have_interiors(self, scale, focal):
+        service = MaxRankService(generate("IND", 30, 3, seed=71))
+        try:
+            service.insert([scale, 0.0, 0.0])
+            served = service.query(focal)
+            dataset = service.dataset
+        finally:
+            service.close()
+        generic = aa_maxrank(dataset, focal, use_planar=False)
+        assert served.k_star == generic.k_star
+        assert region_fingerprint(served) == region_fingerprint(generic)
+        assert_rank_semantics(dataset, focal, served)
+
+    @pytest.mark.parametrize("scale,focal", SLIVER_CASES)
+    def test_planar_generic_and_oracle_agree(self, scale, focal):
+        records = generate("IND", 30, 3, seed=71).records[SLIVER_SUBSETS[focal]]
+        dataset = Dataset(np.vstack([records, [[scale, 0.0, 0.0]]]))
+        planar = maxrank(dataset, 0)
+        generic = aa_maxrank(dataset, 0, use_planar=False)
+        oracle = maxrank_exact_small(dataset, 0)
+        assert planar.k_star == generic.k_star == oracle.k_star
+        assert region_fingerprint(planar) == region_fingerprint(generic)
+        assert canonical_cells(planar) == canonical_cells(oracle)
+        assert_rank_semantics(dataset, 0, planar)
 
 
 class TestAa2dVsBruteforce2D:

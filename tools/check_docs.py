@@ -15,6 +15,11 @@ Every ``python -m repro.service <verb> --flag ...`` command in a fenced
 ``sh`` block is checked too: each flag must appear in that verb's
 ``--help``, so a deleted flag cannot linger in the documentation.
 
+The ``current (s)`` column of the benchmark trajectory table in
+PERFORMANCE.md must equal ``current.configs[*].wall_s`` of
+``BENCH_maxrank.json`` at two decimals, so the table cannot fall behind
+the committed baseline.
+
 Usage::
 
     python tools/check_docs.py [file.md ...]
@@ -24,10 +29,11 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import re
 import sys
 from pathlib import Path
-from typing import List, Tuple
+from typing import List, Mapping, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -47,6 +53,9 @@ _SERVICE_COMMAND = re.compile(r"python -m repro\.service\s+(?P<verb>\S+)(?P<rest
 #: command separator or a comment.
 _COMMAND_END = re.compile(r"\s(?:\||>|<|;|&&|#)")
 _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+#: The trajectory table and the column that mirrors the committed baseline.
+TRAJECTORY_DOC = "PERFORMANCE.md"
+TRAJECTORY_COLUMN = "current (s)"
 
 
 def extract_blocks(text: str) -> List[Tuple[int, str]]:
@@ -126,6 +135,42 @@ def check_service_flags(path: Path) -> Tuple[List[str], int]:
     return failures, len(commands)
 
 
+def trajectory_cells(text: str) -> List[Tuple[int, str, str]]:
+    """``(line, config, value)`` for every row of each markdown table in
+    ``text`` that has a ``current (s)`` column."""
+    cells: List[Tuple[int, str, str]] = []
+    column = None  # None: outside a table; -1: a table without the column
+    for number, line in enumerate(text.split("\n"), 1):
+        if not line.startswith("|"):
+            column = None
+            continue
+        row = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if column is None:
+            column = row.index(TRAJECTORY_COLUMN) if TRAJECTORY_COLUMN in row else -1
+        elif column >= 0 and not set(row[0]) <= set("-: "):
+            cells.append((number, row[0], row[column]))
+    return cells
+
+
+def check_trajectory(path: Path, configs: Mapping[str, Mapping[str, object]]) -> List[str]:
+    """Check the ``current (s)`` column of ``path`` against the committed
+    baseline's ``configs``; return the failures."""
+    cells = trajectory_cells(path.read_text(encoding="utf-8"))
+    if not cells:
+        return [f"{path}: no table with a {TRAJECTORY_COLUMN!r} column"]
+    failures: List[str] = []
+    for line, config, value in cells:
+        wall = configs.get(config, {}).get("wall_s")
+        if wall is None:
+            failures.append(f"{path}:{line}: {config} has no wall_s in the baseline")
+        elif value != f"{float(wall):.2f}":
+            failures.append(
+                f"{path}:{line}: {config} reads {value}, the baseline's wall_s "
+                f"is {float(wall):.2f}"
+            )
+    return failures
+
+
 def run_file(path: Path) -> Tuple[List[str], int]:
     """Execute every python block of one file; return (failures, block count)."""
     failures: List[str] = []
@@ -156,6 +201,10 @@ def main(argv: List[str]) -> int:
         flag_failures, command_count = check_service_flags(path)
         commands += command_count
         failures.extend(flag_failures)
+    baseline = json.loads((REPO_ROOT / "BENCH_maxrank.json").read_text(encoding="utf-8"))
+    failures.extend(
+        check_trajectory(REPO_ROOT / TRAJECTORY_DOC, baseline["current"]["configs"])
+    )
     if failures:
         print("docs check FAILED:", file=sys.stderr)
         for failure in failures:
