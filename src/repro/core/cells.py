@@ -19,13 +19,13 @@ buckets (leaves keyed by ``|F_l|``) instead of traversing and sorting every
 leaf, so its cost is proportional to the number of competitive leaves — not
 to the size of the tree.  Between AA iterations only the leaves reported
 dirty by the tree (partial-overlap set grew) lose their cached within-leaf
-state, and even then three things survive into the replacement processor:
+state, and even then four things survive into the replacement processor:
 the witness points already found (accept-screen probes), the pairwise
-conflict masks (old pair verdicts stay valid because the leaf box is
-unchanged and the old partial set is a prefix of the new one) and the
-surviving-prefix frontier (re-enumeration extends previously surviving
-prefixes by the new half-spaces instead of re-walking the whole assignment
-tree).  This makes re-scans of a grown leaf largely LP-free *and* largely
+conflict masks and the infeasibility cores (old pair verdicts and cores stay
+valid because the leaf box is unchanged and the old partial set is a prefix
+of the new one) and the surviving-prefix frontier (re-enumeration extends
+previously surviving prefixes by the new half-spaces instead of re-walking
+the whole assignment tree).  This makes re-scans of a grown leaf largely LP-free *and* largely
 enumeration-free.
 
 Execution engine
@@ -36,9 +36,9 @@ are mutually independent, so they are materialised as self-contained
 :class:`~repro.engine.tasks.LeafTask` units and handed to an executor — the
 in-process :class:`~repro.engine.executors.SerialExecutor` by default, or a
 :class:`~repro.engine.executors.ProcessPoolExecutor`.  Every task carries a
-snapshot of its leaf's reusable state (probe-panel history, pairwise
-verdicts, planar arrangement, frontier), and the results — cells, new
-witnesses, frontier entries, task-local
+snapshot of its leaf's reusable state (probe-panel history, infeasibility
+cores, pairwise verdicts, planar arrangement, frontier), and the results —
+cells, new witnesses, new cores, frontier entries, task-local
 :class:`~repro.stats.CostCounters` — are merged back **in task order**.
 Serial and pooled runs therefore take the same code path and reproduce the
 same results and cost reports exactly.
@@ -99,8 +99,9 @@ class _LeafScanState:
 
     The state mirrors what a long-lived
     :class:`~repro.quadtree.withinleaf.WithinLeafProcessor` of the
-    leaf would hold — probe-panel history, pairwise verdicts, planar
-    arrangement, frontier entries — assembled from task-result deltas;
+    leaf would hold — probe-panel history, infeasibility cores, pairwise
+    verdicts, planar arrangement, frontier entries — assembled from
+    task-result deltas;
     :meth:`make_task` snapshots the mirror into the next self-contained
     :class:`~repro.engine.tasks.LeafTask` so the processor the task rebuilds
     is indistinguishable from a live one.
@@ -119,6 +120,7 @@ class _LeafScanState:
         "seed_probes",
         "seed_state",
         "witnesses",
+        "cores",
         "pairwise",
         "planar",
         "frontier",
@@ -155,6 +157,9 @@ class _LeafScanState:
         #: harvested reuse state — constant for this leaf configuration
         self.seed_state = seed_state
         self.witnesses: List[np.ndarray] = []
+        #: cores learned by this configuration's tasks, in task order (the
+        #: inherited ones travel inside ``seed_state``)
+        self.cores: List[Tuple[int, int]] = []
         self.pairwise = None
         #: planar arrangement of this leaf configuration, mirrored from the
         #: first task that built (or extended) it
@@ -186,6 +191,7 @@ class _LeafScanState:
             use_pairwise=self.use_pairwise,
             track_frontier=self.track_frontier,
             seed_probes=probes if probes else None,
+            seed_cores=tuple(self.cores),
             seed_state=seed_state,
             pairwise=self.pairwise,
             use_planar=self.use_planar,
@@ -198,6 +204,7 @@ class _LeafScanState:
         """Merge a task result's deltas back into the mirror."""
         self.weight_cells[result.weight] = result.cells
         self.witnesses.extend(result.witnesses)
+        self.cores.extend(result.cores)
         self.frontier.update(result.frontier)
         if result.pairwise is not None:
             self.pairwise = result.pairwise
@@ -221,12 +228,19 @@ class _LeafScanState:
         return points
 
     def reuse_state(self) -> LeafReuseState:
-        """The leaf's reusable state (pairwise verdicts + frontier)."""
+        """The leaf's reusable state (pairwise verdicts, frontier, cores)."""
+        partial_ids = tuple(hid for hid, _ in self.partial_pairs)
+        inherited = self.seed_state
+        cores = tuple(self.cores)
+        if inherited is not None and inherited.extends_to(partial_ids):
+            # The processors put inherited cores first; so does the mirror.
+            cores = inherited.cores + cores
         return LeafReuseState(
-            partial_ids=tuple(hid for hid, _ in self.partial_pairs),
+            partial_ids=partial_ids,
             pairwise=self.pairwise,
             frontier=dict(self.frontier),
             planar=self.planar,
+            cores=cores,
         )
 
 

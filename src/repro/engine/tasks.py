@@ -5,8 +5,9 @@ independent ``(leaf, Hamming weight)`` probes: enumerate the candidate cells
 of one weight inside one leaf and report the non-empty ones.  A
 :class:`LeafTask` captures everything such a probe needs — the leaf box, the
 partial half-space rows, the weight, and the reusable per-leaf state
-(witness probes, pairwise verdicts, surviving-prefix frontier) — so the
-probe can run in *any* process without the parent quad-tree:
+(witness probes, infeasibility cores, pairwise verdicts, surviving-prefix
+frontier) — so the probe can run in *any* process without the parent
+quad-tree:
 :func:`execute_leaf_task` rebuilds a
 :class:`~repro.quadtree.withinleaf.WithinLeafProcessor` from the task alone
 and runs the screen→LP funnel exactly as the in-process scan would.
@@ -14,18 +15,21 @@ and runs the screen→LP funnel exactly as the in-process scan would.
 Determinism contract
 --------------------
 A task must produce bit-identical results wherever it runs.  This hinges on
-three properties, each pinned by tests:
+four properties, each pinned by tests:
 
 * the task ships the *entire* probe-panel history of its leaf
   (``seed_probes`` lists the inherited witnesses plus every LP witness found
   by lower-weight tasks, in discovery order), so the rebuilt panel matches
   the panel of one processor that had walked the leaf's lower weights;
+* likewise ``seed_cores`` lists every infeasibility core learned by the
+  lower-weight tasks of the leaf configuration, in discovery order, so the
+  core gate rejects exactly the candidates a live processor's would;
 * the pairwise analysis is shipped verbatim (``pairwise``) once built, so
   no re-analysis — however deterministic — ever happens twice;
-* results carry the *deltas* (new witnesses, this weight's frontier entry)
-  rather than absolute state, so the scheduler can merge them back in task
-  order and seed the next weight's task identically in serial and parallel
-  runs.
+* results carry the *deltas* (new witnesses, new cores, this weight's
+  frontier entry) rather than absolute state, so the scheduler can merge
+  them back in task order and seed the next weight's task identically in
+  serial and parallel runs.
 
 Everything in this module is picklable; the :class:`LeafTaskResult` carries
 its own :class:`~repro.stats.CostCounters` so funnel accounting crosses
@@ -86,6 +90,10 @@ class LeafTask:
         Probe-panel history of the leaf: inherited witness points followed
         by every LP witness found by this leaf's lower-weight tasks, in
         discovery order.  ``None`` when the panel is just the default one.
+    seed_cores:
+        Infeasibility cores learned by this leaf configuration's
+        lower-weight tasks, in discovery order (the cores inherited through
+        ``seed_state`` are not repeated here).
     seed_state:
         The :class:`LeafReuseState` harvested when the leaf last grew
         (partial ids form a prefix of ``partial``'s), or ``None`` for a
@@ -126,6 +134,7 @@ class LeafTask:
     use_pairwise: bool = True
     track_frontier: bool = False
     seed_probes: Optional[Tuple[np.ndarray, ...]] = None
+    seed_cores: Tuple[Tuple[int, int], ...] = ()
     seed_state: Optional[LeafReuseState] = None
     pairwise: Optional[PairwiseConstraints] = None
     use_planar: bool = False
@@ -148,6 +157,9 @@ class LeafTaskResult:
     witnesses:
         LP witnesses discovered by *this* task (the delta on top of the
         shipped ``seed_probes``), in discovery order.
+    cores:
+        Infeasibility cores learned by *this* task (the delta on top of the
+        shipped ``seed_cores``), in discovery order.
     frontier:
         The surviving-prefix frontier entries recorded by this task —
         ``{weight: survivors-or-None}`` — empty when frontier tracking was
@@ -168,6 +180,7 @@ class LeafTaskResult:
     weight: int
     cells: List[LeafCell]
     witnesses: List[np.ndarray]
+    cores: List[Tuple[int, int]]
     frontier: Dict[int, Optional[Tuple[Tuple[int, ...], ...]]]
     pairwise: Optional[PairwiseConstraints]
     counters: CostCounters
@@ -193,6 +206,7 @@ def execute_leaf_task(task: LeafTask) -> LeafTaskResult:
         use_pairwise=task.use_pairwise,
         counters=own,
         seed_probes=task.seed_probes,
+        seed_cores=task.seed_cores,
         seed_state=task.seed_state,
         track_frontier=task.track_frontier,
         pairwise=task.pairwise,
@@ -217,6 +231,7 @@ def execute_leaf_task(task: LeafTask) -> LeafTaskResult:
         weight=task.weight,
         cells=cells,
         witnesses=list(processor.witness_probes()),
+        cores=processor.learned_cores(),
         frontier=processor.frontier_entries(),
         pairwise=processor.pairwise_constraints if task.pairwise is None else None,
         counters=own,

@@ -7,19 +7,27 @@ the work-horse primitive of within-leaf processing (paper, Section 5.2),
 replacing the authors' use of the Qhull library.
 
 Strict feasibility is decided with a *maximum-slack* program: find a point
-``x`` and a slack ``ε ≥ 0`` maximal such that ``a_j · x ≥ b_j + ε · ||a_j||``
+``x`` and a slack ``ε`` maximal such that ``a_j · x ≥ b_j + ε · ||a_j||``
 for every half-space ``j`` and ``lower + ε ≤ x ≤ upper − ε``.  The system of
 open inequalities has an interior point exactly when the optimal ``ε`` is
 strictly positive; the normalisation gives ``ε`` the geometric meaning of an
 inscribed-ball radius, so the witness point is numerically well inside the
 cell.
 
+The slack's floor sits below the most negative slack of the box centre, so
+the program is feasible even for an empty cell and ends at an optimum
+``ε* ≤ 0``.  The rows tight at that optimum are an *infeasibility core*: by
+complementary slackness they carry every optimal dual, so the program over
+those rows, the box and nothing else has the same optimum ``ε*``, and any
+system containing them is at least as empty.  Within-leaf processing keeps
+the cores it is handed and rejects later candidates that contain one without
+solving them.
+
 Because a single MaxRank query performs thousands of these tests on systems
-with only a handful of variables, the solver matters: the default engine is
-the library's own Seidel randomised LP (:mod:`repro.geometry.seidel`), with
-cheap vectorised accept/reject screens in front of it.  ``scipy``'s HiGHS
-solver remains available via ``engine="scipy"`` and is used by the tests to
-cross-check the Seidel results.
+with only a handful of variables, the solver matters: it is the library's
+own Seidel randomised LP (:mod:`repro.geometry.seidel`), with cheap
+vectorised accept/reject screens in front of it.  The tests cross-check it
+against ``scipy``'s HiGHS on the same program.
 """
 
 from __future__ import annotations
@@ -55,6 +63,12 @@ MIN_INTERIOR_RADIUS = 1e-9
 #: never flip a feasibility decision relative to the per-cell solver.
 ACCEPT_MARGIN_FACTOR = 10.0
 
+#: Rows whose normalised slack at the optimum lies within this fraction of
+#: the box's largest extent above the optimum slack join the core.  Only
+#: missing a tight row would be unsound; a loose tolerance merely makes
+#: cores larger (and less often matched).
+_CORE_TOLERANCE = 1e-7
+
 
 @dataclass(frozen=True)
 class FeasibilityResult:
@@ -68,11 +82,18 @@ class FeasibilityResult:
         A witness interior point (None when infeasible).
     radius:
         The radius of the largest inscribed ball found (0 when infeasible).
+    core:
+        For an infeasible system decided by the max-slack program with an
+        optimum slack of at most ``-ACCEPT_MARGIN_FACTOR * min_radius``: the
+        indices of the rows of ``A`` tight at the optimum.  Those rows and
+        the box alone are infeasible, and so is every system containing
+        them over any sub-box.  ``None`` otherwise.
     """
 
     feasible: bool
     point: Optional[np.ndarray]
     radius: float
+    core: Optional[Tuple[int, ...]] = None
 
 
 _INFEASIBLE = FeasibilityResult(False, None, 0.0)
@@ -86,7 +107,6 @@ def find_interior_point_arrays(
     *,
     min_radius: float = MIN_INTERIOR_RADIUS,
     counters=None,
-    engine: str = "seidel",
 ) -> FeasibilityResult:
     """Find an interior point of ``{x : A x > b} ∩ [lower, upper]``.
 
@@ -120,10 +140,12 @@ def find_interior_point_arrays(
 
     if counters is not None:
         counters.lp_calls += 1
-
-    if engine == "scipy":
-        return _solve_with_scipy(A, b, norms, lower, upper, min_radius, counters=counters)
-    return _solve_with_seidel(A, b, norms, lower, upper, min_radius, counters=counters)
+    # A slack floor one unit below the centre's worst row keeps the program
+    # feasible, so an empty cell ends at an optimum instead of at ``None``.
+    floor = -(max(0.0, -float(margins.min())) + 1.0)
+    return _solve_with_seidel(
+        A, b, norms, lower, upper, min_radius, floor, counters=counters
+    )
 
 
 def _solve_with_seidel(
@@ -133,13 +155,17 @@ def _solve_with_seidel(
     lower: np.ndarray,
     upper: np.ndarray,
     min_radius: float,
+    floor: float,
     counters=None,
 ) -> FeasibilityResult:
     """Max-slack feasibility via the library's Seidel LP solver.
 
-    The constraint-row tally goes to ``counters.lp_constraint_rows`` (when
-    counters are supplied) rather than any solver-local state, so the
-    accounting survives execution on worker processes and merges exactly.
+    ``floor`` is the slack's lower bound; it lies below the slack of the
+    box centre, so the program is feasible and an empty cell yields its
+    optimum slack and core.  The constraint-row tally goes to
+    ``counters.lp_constraint_rows`` (when counters are supplied) rather
+    than any solver-local state, so the accounting survives execution on
+    worker processes and merges exactly.
     """
     dim = int(lower.shape[0])
     max_slack = float(np.max(upper - lower))
@@ -164,46 +190,22 @@ def _solve_with_seidel(
     solution = solve_lp(
         constraints,
         objective,
-        [*lower, 0.0],
+        [*lower, floor],
         [*upper, max_slack],
     )
     if solution is None:
+        # Only rounding can lose the feasible floor point; no core then.
         return _INFEASIBLE
     radius = float(solution[-1])
-    if radius <= min_radius:
+    point = np.asarray(solution[:dim], dtype=float)
+    if radius > min_radius:
+        return FeasibilityResult(True, point, radius)
+    if radius > -ACCEPT_MARGIN_FACTOR * min_radius:
         return _INFEASIBLE
-    return FeasibilityResult(True, np.asarray(solution[:dim], dtype=float), radius)
-
-
-def _solve_with_scipy(
-    A: np.ndarray,
-    b: np.ndarray,
-    norms: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    min_radius: float,
-    counters=None,
-) -> FeasibilityResult:
-    """Max-slack feasibility via ``scipy.optimize.linprog`` (cross-check engine)."""
-    from scipy.optimize import linprog
-
-    dim = int(lower.shape[0])
-    if counters is not None:
-        counters.lp_constraint_rows += A.shape[0] + 2 * dim
-    n_var = dim + 1
-    c = np.zeros(n_var)
-    c[-1] = -1.0
-    A_ub = np.hstack([-A, norms.reshape(-1, 1)])
-    b_ub = -b
-    bounds = [(float(l), float(h)) for l, h in zip(lower, upper)]
-    bounds.append((0.0, float(np.max(upper - lower))))
-    result = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not result.success:
-        return _INFEASIBLE
-    radius = float(result.x[-1])
-    if radius <= min_radius:
-        return _INFEASIBLE
-    return FeasibilityResult(True, np.asarray(result.x[:dim], dtype=float), radius)
+    slack = (A @ point - b) / norms
+    tolerance = _CORE_TOLERANCE * max_slack
+    core = tuple(np.flatnonzero(slack <= radius + tolerance).tolist())
+    return FeasibilityResult(False, None, 0.0, core)
 
 
 def box_row_extremes(
@@ -345,7 +347,6 @@ def find_interior_point(
     *,
     min_radius: float = MIN_INTERIOR_RADIUS,
     counters=None,
-    engine: str = "seidel",
 ) -> FeasibilityResult:
     """Find an interior point of ``{x : a_j · x > b_j} ∩ [lower, upper]``.
 
@@ -367,5 +368,5 @@ def find_interior_point(
         A = np.zeros((0, dim))
         b = np.zeros(0)
     return find_interior_point_arrays(
-        A, b, lo, hi, min_radius=min_radius, counters=counters, engine=engine
+        A, b, lo, hi, min_radius=min_radius, counters=counters
     )

@@ -39,6 +39,17 @@ through to a per-cell Seidel LP.  The screens use a safety margin above the
 LP's feasibility radius, so the decisions are identical to running the LP on
 every cell.
 
+Between the screens and the LP sits the **core gate**.  An LP that finds a
+cell empty also returns its *infeasibility core* — the few oriented rows
+tight at the max-slack optimum (:class:`repro.geometry.lp.FeasibilityResult`)
+— and the processor keeps it as a ``(ones_mask, zeros_mask)`` pair over
+partial positions.  A later candidate that fixes every core row the same way
+is empty too, so it is rejected with two bitwise ANDs per core instead of an
+LP (``core_cuts``).  Cores generalise the pairwise verdicts below to any
+number of rows, base (simplex) rows included, and they travel like witness
+probes: to the next weight's processor (``seed_cores``) and to a grown
+leaf's replacement processor (:class:`LeafReuseState`).
+
 Two optimisations from the paper are implemented on top:
 
 * **pairwise binary constraints** — pairs of half-spaces that are disjoint,
@@ -55,11 +66,12 @@ Two optimisations from the paper are implemented on top:
 
 AA re-scans reuse per-leaf state across iterations: a grown leaf's
 replacement processor inherits the previous processor's witness probes, its
-pairwise conflict masks (the leaf box is unchanged and the old partial set
-is a prefix of the new one, so old pair verdicts stay valid verbatim) and
-its surviving-prefix frontier (the generation survivors per weight), so
-re-enumeration only explores extensions of previously surviving prefixes by
-the newly arrived half-spaces.  See :class:`LeafReuseState`.
+pairwise conflict masks and its infeasibility cores (the leaf box is
+unchanged and the old partial set is a prefix of the new one, so old pair
+verdicts and cores stay valid verbatim) and its surviving-prefix frontier
+(the generation survivors per weight), so re-enumeration only explores
+extensions of previously surviving prefixes by the newly arrived
+half-spaces.  See :class:`LeafReuseState`.
 
 Planar sweep (``d = 3`` fast path)
 ----------------------------------
@@ -104,6 +116,10 @@ __all__ = ["LeafCell", "LeafReuseState", "WithinLeafProcessor", "PairwiseConstra
 #: Cap on the number of probe points a processor keeps (centre + corners +
 #: inherited seeds + accumulated LP witnesses).
 _MAX_PROBES = 192
+
+#: Cap on the number of infeasibility cores a processor keeps (inherited,
+#: shipped and learned, in that order); later cores are not learned.
+_MAX_CORES = 256
 
 #: Cap on the number of surviving candidates memoised per weight for the
 #: incremental-rescan frontier; beyond it the frontier is dropped (a rescan
@@ -236,7 +252,6 @@ class PairwiseConstraints:
         halfspaces: Sequence[Tuple[int, Halfspace]],
         lower: np.ndarray,
         upper: np.ndarray,
-        base_constraints: Sequence[Halfspace] = (),
         *,
         counters: Optional[CostCounters] = None,
         reuse: Optional["PairwiseConstraints"] = None,
@@ -380,12 +395,22 @@ class LeafReuseState:
         new processor's partial ids, the replacement processor copies the
         retained arrangement and inserts only the newly arrived half-planes
         instead of rebuilding from scratch.
+    cores:
+        Infeasibility cores of the previous processor, ``(ones_mask,
+        zeros_mask)`` pairs over ``partial_ids`` positions in discovery
+        order.  The positions and the box are unchanged in the grown leaf,
+        so every core stays a proof of emptiness there.
     """
 
     partial_ids: Tuple[int, ...]
     pairwise: Optional[PairwiseConstraints]
     frontier: Dict[int, Optional[Tuple[Tuple[int, ...], ...]]]
     planar: Optional[PlanarArrangement] = None
+    cores: Tuple[Tuple[int, int], ...] = ()
+
+    def extends_to(self, ids: Sequence[int]) -> bool:
+        """True when the state's partial ids are a prefix of ``ids``."""
+        return tuple(ids[: len(self.partial_ids)]) == self.partial_ids
 
 
 class WithinLeafProcessor:
@@ -417,11 +442,16 @@ class WithinLeafProcessor:
         (AA re-scans after the partial set grew); they are added to the
         accept-screen probe panel, so cells already discovered in an earlier
         iteration are re-certified without any LP.
+    seed_cores:
+        Infeasibility cores learned by earlier processors of this exact
+        configuration (the lower weights' tasks), kept after the cores of
+        ``seed_state``; candidates containing one skip the LP.
     seed_state:
         :class:`LeafReuseState` of the previous processor of the same leaf;
         when its partial ids are a prefix of this processor's, the pairwise
-        conflict masks are extended instead of recomputed and candidate
-        generation resumes from the cached surviving-prefix frontier.
+        conflict masks are extended instead of recomputed, its cores are
+        inherited and candidate generation resumes from the cached
+        surviving-prefix frontier.
     track_frontier:
         Memoise the generation survivors per weight so :meth:`reuse_state`
         can hand them to a replacement processor.  Off by default — only a
@@ -459,6 +489,7 @@ class WithinLeafProcessor:
         pairwise_min_size: int = 6,
         counters: Optional[CostCounters] = None,
         seed_probes: Optional[Sequence[np.ndarray]] = None,
+        seed_cores: Sequence[Tuple[int, int]] = (),
         seed_state: Optional[LeafReuseState] = None,
         track_frontier: bool = False,
         pairwise: Optional[PairwiseConstraints] = None,
@@ -514,14 +545,22 @@ class WithinLeafProcessor:
         self._planar_seed: Optional[PlanarArrangement] = None
         self._planar_weights: Optional[Dict[int, List[Tuple[int, ...]]]] = None
         reuse_pairwise: Optional[PairwiseConstraints] = None
+        inherited_cores: Sequence[Tuple[int, int]] = ()
         if seed_state is not None:
             ids = tuple(hid for hid, _ in self.partial)
-            old_m = len(seed_state.partial_ids)
-            if old_m <= len(ids) and seed_state.partial_ids == ids[:old_m]:
+            if seed_state.extends_to(ids):
                 reuse_pairwise = seed_state.pairwise
                 if seed_state.frontier:
-                    self._seed_frontier = (old_m, seed_state.frontier)
+                    self._seed_frontier = (
+                        len(seed_state.partial_ids), seed_state.frontier
+                    )
                 self._planar_seed = seed_state.planar
+                inherited_cores = seed_state.cores
+        #: infeasibility cores as (ones_mask, zeros_mask) over positions
+        self._cores: List[Tuple[int, int]] = list(
+            chain(inherited_cores, seed_cores)
+        )[:_MAX_CORES]
+        self._seed_core_count = len(self._cores)
         if self.dim == 2:
             self._oriented = [
                 (halfspace, halfspace.complement()) for _, halfspace in self.partial
@@ -549,7 +588,7 @@ class WithinLeafProcessor:
                 self._pairwise = pairwise
             else:
                 self._pairwise = PairwiseConstraints.build(
-                    self.partial, self.lower, self.upper, self._base,
+                    self.partial, self.lower, self.upper,
                     counters=counters, reuse=reuse_pairwise,
                 )
 
@@ -565,6 +604,7 @@ class WithinLeafProcessor:
             pairwise=self._pairwise,
             frontier=dict(self._frontier),
             planar=self._planar,
+            cores=tuple(self._cores),
         )
 
     @property
@@ -616,6 +656,11 @@ class WithinLeafProcessor:
         """
         return self._probe_points[self._seed_count:]
 
+    def learned_cores(self) -> List[Tuple[int, int]]:
+        """Infeasibility cores learned by this processor, in discovery order
+        (the delta on top of the inherited and shipped ones)."""
+        return self._cores[self._seed_core_count:]
+
     def _add_probe(self, point: np.ndarray) -> None:
         if len(self._probe_points) >= _MAX_PROBES:
             return
@@ -666,7 +711,22 @@ class WithinLeafProcessor:
         return point
 
     def _test_cell_lp(self, bits: Tuple[int, ...]) -> Optional[np.ndarray]:
-        """LP-based feasibility using the pre-stacked constraint arrays."""
+        """LP-based feasibility behind the core gate.
+
+        A candidate fixing every row of a stored core the core's way is
+        empty without an LP.  Otherwise the LP decides, and an empty verdict
+        that comes with a core is stored for the later candidates.
+        """
+        ones_mask = 0
+        for position, bit in enumerate(bits):
+            if bit:
+                ones_mask |= 1 << position
+        zeros_mask = ((1 << len(bits)) - 1) ^ ones_mask
+        for core_ones, core_zeros in self._cores:
+            if not (core_ones & zeros_mask or core_zeros & ones_mask):
+                if self.counters is not None:
+                    self.counters.core_cuts += 1
+                return None
         if self.partial:
             signs = np.where(np.asarray(bits, dtype=bool), 1.0, -1.0)
             A = np.vstack([self._base_A, self._partial_A * signs[:, None]])
@@ -676,7 +736,24 @@ class WithinLeafProcessor:
         result = find_interior_point_arrays(
             A, b, self.lower, self.upper, counters=self.counters
         )
-        return result.point if result.feasible else None
+        if result.feasible:
+            return result.point
+        if result.core is not None and len(self._cores) < _MAX_CORES:
+            # Rows past the base (simplex) rows are partial positions; the
+            # base rows and the box hold in every candidate of the leaf.
+            core_ones = core_zeros = 0
+            for row in result.core:
+                position = row - len(self._base_b)
+                if position < 0:
+                    continue
+                if bits[position]:
+                    core_ones |= 1 << position
+                else:
+                    core_zeros |= 1 << position
+            self._cores.append((core_ones, core_zeros))
+            if self.counters is not None:
+                self.counters.cores_learned += 1
+        return None
 
     def _test_cell_clipping(self, bits: Tuple[int, ...]) -> Optional[np.ndarray]:
         """Feasibility in the 2-D reduced space: clipping screens the LP.

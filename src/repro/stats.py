@@ -72,6 +72,11 @@ class CostCounters:
         ``candidates_generated`` for the generic generator.
     lp_calls:
         Linear-programming feasibility calls performed.
+    core_cuts / cores_learned:
+        Candidate cells rejected by the within-leaf core gate without an LP
+        (they contain an infeasibility core their leaf learned earlier)
+        respectively cores stored from infeasible LPs.  See
+        :mod:`repro.quadtree.withinleaf`.
     lp_constraint_rows:
         Total constraint rows handed to the exact max-slack solves (the
         size tally of the Seidel layer).  Tracked here — rather than as
@@ -155,6 +160,8 @@ class CostCounters:
     faces_enumerated: int = 0
     lp_calls: int = 0
     lp_constraint_rows: int = 0
+    core_cuts: int = 0
+    cores_learned: int = 0
     leaves_processed: int = 0
     leaves_pruned: int = 0
     skyline_updates: int = 0
@@ -260,6 +267,8 @@ class CostCounters:
             "faces_enumerated": self.faces_enumerated,
             "lp_calls": self.lp_calls,
             "lp_constraint_rows": self.lp_constraint_rows,
+            "core_cuts": self.core_cuts,
+            "cores_learned": self.cores_learned,
             "leaves_processed": self.leaves_processed,
             "leaves_pruned": self.leaves_pruned,
             "skyline_updates": self.skyline_updates,
@@ -295,6 +304,8 @@ class CostCounters:
         self.faces_enumerated += other.faces_enumerated
         self.lp_calls += other.lp_calls
         self.lp_constraint_rows += other.lp_constraint_rows
+        self.core_cuts += other.core_cuts
+        self.cores_learned += other.cores_learned
         self.leaves_processed += other.leaves_processed
         self.leaves_pruned += other.leaves_pruned
         self.skyline_updates += other.skyline_updates

@@ -1,4 +1,5 @@
-"""Tests for the LP feasibility layer: the Seidel solver and its scipy cross-check."""
+"""Tests for the LP feasibility layer: the Seidel solver, its infeasibility
+cores and their cross-check against scipy's HiGHS."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Halfspace, find_interior_point
-from repro.geometry.lp import find_interior_point_arrays
+from repro.geometry.lp import MIN_INTERIOR_RADIUS, find_interior_point_arrays
 from repro.geometry.seidel import solve_lp
 
 
@@ -39,21 +40,44 @@ class TestSeidelSolver:
     @given(seed=st.integers(0, 500), m=st.integers(0, 15), k=st.integers(1, 5))
     @settings(max_examples=60, deadline=None)
     def test_matches_scipy_on_random_systems(self, seed, m, k):
-        """Feasibility decisions must agree with scipy's HiGHS on random systems."""
+        """Feasibility decisions must agree with scipy's HiGHS on random
+        systems, and every core must be infeasible under HiGHS on its own."""
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(m, k))
         b = rng.normal(size=m) * 0.3
         lower = np.zeros(k)
         upper = np.ones(k)
-        ours = find_interior_point_arrays(A, b, lower, upper, engine="seidel")
-        reference = find_interior_point_arrays(A, b, lower, upper, engine="scipy")
-        if max(ours.radius, reference.radius) > 1e-6:
-            assert ours.feasible == reference.feasible
+        ours = find_interior_point_arrays(A, b, lower, upper)
+        reference = highs_max_slack(A, b, lower, upper)
+        if max(ours.radius, reference) > 1e-6:
+            assert ours.feasible == (reference > MIN_INTERIOR_RADIUS)
         if ours.feasible:
             margins = A @ ours.point - b if m else np.array([1.0])
             assert (margins > 0).all()
             assert (ours.point >= lower - 1e-9).all()
             assert (ours.point <= upper + 1e-9).all()
+        elif ours.core is not None:
+            core = list(ours.core)
+            assert highs_max_slack(A[core], b[core], lower, upper) <= MIN_INTERIOR_RADIUS
+
+
+def highs_max_slack(A, b, lower, upper):
+    """Optimum slack of the max-slack program under HiGHS (``-inf`` when it
+    is infeasible with a slack floor of 0)."""
+    from scipy.optimize import linprog
+
+    k = lower.shape[0]
+    norms = np.linalg.norm(A, axis=1) if A.shape[0] else np.zeros(0)
+    # a · x - ||a|| t >= b and lower + t <= x <= upper - t
+    box = np.hstack([np.vstack([np.eye(k), -np.eye(k)]), np.ones((2 * k, 1))])
+    A_ub = np.vstack([np.hstack([-A, np.where(norms > 0, norms, 1.0)[:, None]]), box])
+    b_ub = np.concatenate([-b, upper, -lower])
+    c = np.zeros(k + 1)
+    c[-1] = -1.0
+    bounds = [(float(l), float(h)) for l, h in zip(lower, upper)]
+    bounds.append((0.0, float(np.max(upper - lower))))
+    result = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    return float(result.x[-1]) if result.success else -np.inf
 
 
 class TestFindInteriorPoint:
@@ -73,6 +97,27 @@ class TestFindInteriorPoint:
         result = find_interior_point([h, h.complement()], [0.0, 0.0], [1.0, 1.0])
         assert not result.feasible
         assert result.point is None
+
+    def test_core_names_the_contradicting_rows(self):
+        """The rows tight at the max-slack optimum of an empty cell are its
+        core; a row that is satisfiable beside them stays out."""
+        right = Halfspace([1.0, 0.0], 0.7)
+        left = Halfspace([-1.0, 0.0], -0.6)
+        free = Halfspace([0.0, 1.0], 0.1)
+        result = find_interior_point([free, right, left], [0.0, 0.0], [1.0, 1.0])
+        assert not result.feasible
+        assert result.core == (1, 2)
+
+    def test_touching_cell_has_no_core(self):
+        """A cell of zero width is empty, but its optimum slack is 0, above
+        the margin a core needs."""
+        h = Halfspace([1.0, 0.0], 0.7)
+        result = find_interior_point([h, h.complement()], [0.0, 0.0], [1.0, 1.0])
+        assert not result.feasible and result.core is None
+
+    def test_feasible_cell_has_no_core(self):
+        h = Halfspace([1.0, 1.0], 0.5)
+        assert find_interior_point([h], [0.0, 0.0], [1.0, 1.0]).core is None
 
     def test_halfspace_outside_box(self):
         h = Halfspace([1.0, 0.0], 5.0)

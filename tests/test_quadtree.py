@@ -252,7 +252,7 @@ class TestPairwiseConstraints:
         a = Halfspace([1.0, 0.0], 0.8)     # x > 0.8
         b = Halfspace([-1.0, 0.0], -0.2)   # x < 0.2
         constraints = PairwiseConstraints.build(
-            [(0, a), (1, b)], np.zeros(2), np.ones(2), [])
+            [(0, a), (1, b)], np.zeros(2), np.ones(2))
         assert constraints.violates([1, 1])
         assert not constraints.violates([0, 1])
 
@@ -260,7 +260,7 @@ class TestPairwiseConstraints:
         a = Halfspace([1.0, 0.0], 0.3)     # x > 0.3
         b = Halfspace([-1.0, 0.0], -0.7)   # x < 0.7
         constraints = PairwiseConstraints.build(
-            [(0, a), (1, b)], np.zeros(2), np.ones(2), [])
+            [(0, a), (1, b)], np.zeros(2), np.ones(2))
         assert constraints.violates([0, 0])
         assert not constraints.violates([1, 1])
 
