@@ -24,8 +24,12 @@ four properties, each pinned by tests:
 * likewise ``seed_cores`` lists every infeasibility core learned by the
   lower-weight tasks of the leaf configuration, in discovery order, so the
   core gate rejects exactly the candidates a live processor's would;
-* the pairwise analysis is shipped verbatim (``pairwise``) once built, so
-  no re-analysis — however deterministic — ever happens twice;
+* the pairwise analysis is built on first read and shipped verbatim
+  (``pairwise``) once built, so no full re-analysis — however
+  deterministic — ever happens twice.  A weight-0 task reads at most the
+  ``(0, 0)`` verdicts and ships nothing; the next weight's task builds the
+  analysis and ships it.  Every verdict is the same whichever task builds
+  it, so where the build happens moves no decision or counter;
 * results carry the *deltas* (new witnesses, new cores, this weight's
   frontier entry) rather than absolute state, so the scheduler can merge
   them back in task order and seed the next weight's task identically in
@@ -166,7 +170,8 @@ class LeafTaskResult:
         off.
     pairwise:
         The pair analysis built by this task, or ``None`` when the task was
-        handed one (or never needed one).
+        handed one or built none (a weight-0 task reads at most the
+        ``(0, 0)`` verdicts, which is not a build).
     planar:
         The planar arrangement built (or incrementally extended) by this
         task, or ``None`` when the task was handed one or the planar sweep
@@ -233,7 +238,7 @@ def execute_leaf_task(task: LeafTask) -> LeafTaskResult:
         witnesses=list(processor.witness_probes()),
         cores=processor.learned_cores(),
         frontier=processor.frontier_entries(),
-        pairwise=processor.pairwise_constraints if task.pairwise is None else None,
+        pairwise=processor.built_pairwise() if task.pairwise is None else None,
         counters=own,
         planar=processor.planar_arrangement if task.planar is None else None,
     )

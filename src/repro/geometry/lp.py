@@ -39,7 +39,7 @@ import numpy as np
 
 from ..errors import GeometryError
 from .halfspace import Halfspace
-from .seidel import solve_lp
+from .seidel import solve_float_lp
 
 __all__ = [
     "FeasibilityResult",
@@ -171,28 +171,26 @@ def _solve_with_seidel(
     max_slack = float(np.max(upper - lower))
     if counters is not None:
         counters.lp_constraint_rows += A.shape[0] + 2 * dim
-    constraints = []
+    lo = lower.tolist()
+    hi = upper.tolist()
     # a · x - ||a|| t >= b   ->   -a · x + ||a|| t <= -b, each row scaled
     # by 1/||a|| so the solver's tolerances hold at any coefficient scale.
-    for row, offset in zip(-A / norms[:, None], -b / norms):
-        constraints.append(([*row, 1.0], float(offset)))
+    constraints = [
+        (row + [1.0], offset)
+        for row, offset in zip((-A / norms[:, None]).tolist(), (-b / norms).tolist())
+    ]
     # Keep the witness off the box boundary as well:  x_i ± t within bounds.
     for i in range(dim):
         grow = [0.0] * (dim + 1)
         grow[i] = 1.0
         grow[dim] = 1.0
-        constraints.append((grow, float(upper[i])))
+        constraints.append((grow, hi[i]))
         shrink = [0.0] * (dim + 1)
         shrink[i] = -1.0
         shrink[dim] = 1.0
-        constraints.append((shrink, float(-lower[i])))
+        constraints.append((shrink, -lo[i]))
     objective = [0.0] * dim + [1.0]
-    solution = solve_lp(
-        constraints,
-        objective,
-        [*lower, floor],
-        [*upper, max_slack],
-    )
+    solution = solve_float_lp(constraints, objective, lo + [floor], hi + [max_slack])
     if solution is None:
         # Only rounding can lose the feasible floor point; no core then.
         return _INFEASIBLE

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple
 
-__all__ = ["solve_lp", "LPResult"]
+__all__ = ["solve_lp", "solve_float_lp", "LPResult"]
 
 #: Coefficients below this magnitude are treated as zero.
 _TINY = 1e-13
@@ -67,12 +67,29 @@ def solve_lp(
     list[float] | None
         An optimal point, or ``None`` when the system is infeasible.
     """
-    rng = random.Random(seed)
-    c = [float(v) for v in objective]
-    lo = [float(v) for v in lower]
-    hi = [float(v) for v in upper]
-    prepared = [([float(v) for v in g], float(h)) for g, h in constraints]
-    return _solve(prepared, c, lo, hi, rng)
+    return solve_float_lp(
+        [([float(v) for v in g], float(h)) for g, h in constraints],
+        [float(v) for v in objective],
+        [float(v) for v in lower],
+        [float(v) for v in upper],
+        seed=seed,
+    )
+
+
+def solve_float_lp(
+    constraints: List[Constraint],
+    objective: List[float],
+    lower: List[float],
+    upper: List[float],
+    *,
+    seed: int = 0,
+) -> LPResult:
+    """:func:`solve_lp` on inputs that already are lists of Python floats.
+
+    For callers that assemble their rows with ``ndarray.tolist()``; skips
+    the per-scalar conversion, which changes no value.
+    """
+    return _solve(constraints, objective, lower, upper, random.Random(seed))
 
 
 def _solve(

@@ -73,6 +73,24 @@ verdicts and cores stay valid verbatim) and its surviving-prefix frontier
 extensions of previously surviving prefixes by the newly arrived
 half-spaces.  See :class:`LeafReuseState`.
 
+State is built on first read
+----------------------------
+The execution engine runs one processor per ``(leaf, weight)`` task, and
+most tasks are weight 0 with a single candidate (the all-zeros string), so
+a processor builds each piece of its state only when something reads it.
+The pair analysis is analysed one orientation at a time: a weight-0 walk
+reads only the ``(0, 0)`` verdicts, and none at all when a row bound cuts
+the all-zeros string or the inherited frontier leaves nothing to extend;
+the first walk of a higher weight analyses the missing orientations in one
+pass.  The analysis counts as *built* once all four orientations are in,
+and only a built analysis is handed on — to the next weight's task
+(:class:`~repro.engine.tasks.LeafTaskResult`) or to a grown leaf's
+replacement processor.  The probe panel is materialised by the first batch
+screen, the row bounds by the first walk and the clipping state by the
+first 2-D cell test; the permissible-simplex rows are computed once per
+dimensionality.  Every decision and counter is the one eager building
+would give.
+
 Planar sweep (``d = 3`` fast path)
 ----------------------------------
 When the reduced space is a plane and ``use_planar`` is set, candidate
@@ -91,6 +109,7 @@ candidates examined shrinks.  AA re-scans retain the arrangement through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -179,8 +198,9 @@ def _pair_combo_feasible(
     single-constraint LP over a box.  All rows are processed at once with a
     per-row ``argsort`` over the (at most 7) coordinates.
     """
-    x_star = np.where(v > 0, upper, lower)
-    other = np.where(v > 0, lower, upper)
+    positive = v > 0
+    x_star = np.where(positive, upper, lower)
+    other = np.where(positive, lower, upper)
     v_at = np.einsum("rk,rk->r", v, x_star)
     u_at = np.einsum("rk,rk->r", u, x_star)
     need = np.maximum(c - u_at, 0.0)
@@ -189,21 +209,53 @@ def _pair_combo_feasible(
     loss = np.where(movable, np.abs(v) * (upper - lower), 0.0)
     rate = np.where(movable, loss / np.where(movable, gain, 1.0), np.inf)
     order = np.argsort(rate, axis=1)
-    gain_sorted = np.take_along_axis(gain, order, axis=1)
-    loss_sorted = np.take_along_axis(loss, order, axis=1)
+    rows = np.arange(order.shape[0])[:, None]
+    gain_sorted = gain[rows, order]
+    loss_sorted = loss[rows, order]
     cum_gain = np.cumsum(gain_sorted, axis=1)
-    total_gain = cum_gain[:, -1]
-    prev_cum = np.concatenate(
-        [np.zeros((gain.shape[0], 1)), cum_gain[:, :-1]], axis=1
-    )
-    fraction = np.clip(
-        (need[:, None] - prev_cum) / np.where(gain_sorted > 0, gain_sorted, 1.0),
-        0.0,
+    prev_cum = np.zeros_like(cum_gain)
+    prev_cum[:, 1:] = cum_gain[:, :-1]
+    buying = gain_sorted > 0
+    fraction = np.minimum(
+        np.maximum((need[:, None] - prev_cum) / np.where(buying, gain_sorted, 1.0), 0.0),
         1.0,
     )
-    fraction = np.where(gain_sorted > 0, fraction, 0.0)
+    fraction = np.where(buying, fraction, 0.0)
     best_v = v_at - (loss_sorted * fraction).sum(axis=1)
-    return (total_gain >= need) & (best_v > d)
+    return (cum_gain[:, -1] >= need) & (best_v > d)
+
+
+@lru_cache(maxsize=None)
+def _simplex_rows(
+    dim: int,
+) -> Tuple[Tuple[Halfspace, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The permissible-simplex (base) rows of one reduced dimensionality.
+
+    ``(halfspaces, A, b, norms)``, computed once per dimensionality and
+    shared read-only by every processor.
+    """
+    base = tuple(reduced_space_constraints(dim))
+    A = np.vstack([h.coefficients for h in base])
+    b = np.array([h.offset for h in base], dtype=float)
+    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+    norms = np.where(norms > 0, norms, 1.0)
+    for array in (A, b, norms):
+        array.setflags(write=False)
+    return base, A, b, norms
+
+
+@lru_cache(maxsize=256)
+def _pair_indices(m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(j, i)`` index arrays of every pair ``i < j < m``, ordered by
+    ``(j, i)`` (read-only, shared)."""
+    j_idx, i_idx = np.tril_indices(m, -1)
+    j_idx.setflags(write=False)
+    i_idx.setflags(write=False)
+    return j_idx, i_idx
+
+
+#: The four bit combinations ``(bit_i, bit_j)`` of a pair ``i < j``.
+_ORIENTATIONS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 class PairwiseConstraints:
@@ -219,32 +271,72 @@ class PairwiseConstraints:
 
     The analysis is LP-free: a two-constraint system over a box reduces to a
     closed-form fractional-knapsack maximisation
-    (:func:`_pair_combo_feasible`), evaluated for all pairs and all four
-    orientations in a handful of array operations.  The test relaxes the
+    (:func:`_pair_combo_feasible`), evaluated for all pairs and every
+    requested orientation in one call.  The test relaxes the
     permissible-simplex cut (it considers the box alone), so it forbids a
     subset of what an exact LP with the base constraints would — pruning
     stays sound, it just occasionally lets a doomed candidate through to the
     cell screens.
 
-    The forbidden patterns double as per-position *conflict bitmasks*
-    (:meth:`conflict_masks`) consumed by the prefix-pruned DFS candidate
-    generator, and the analysis is *incremental*: when a leaf's partial set
-    grows during AA (the old id list is a prefix of the new one and the leaf
-    box is unchanged), :meth:`build` with ``reuse=`` copies every old pair
-    verdict verbatim and only analyses pairs involving the new half-spaces.
+    The verdicts are kept as per-position *conflict bitmasks*, one list per
+    orientation: ``masks(a, b)[p]`` has bit ``q`` set when the pair
+    ``(q, p)``, ``q < p``, forbids ``bit_q = a`` together with ``bit_p = b``.
+    The prefix-pruned DFS tests a partial assignment with two bitwise ANDs
+    per extension.  Each orientation is analysed on first read: a weight-0
+    walk reads only the ``(0, 0)`` masks, and :meth:`conflict_masks`
+    analyses every orientation still missing in one pass.  The analysis is
+    *built* (:attr:`built`) once all four are in; only then does it travel
+    to other processors.
+
+    The analysis is also *incremental*: when a leaf's partial set grows
+    during AA (the old id list is a prefix of the new one and the leaf box
+    is unchanged), a built ``reuse`` analysis contributes its masks for the
+    old positions verbatim and only pairs involving the new half-spaces are
+    analysed.
+
+    The constructor takes the partial rows as arrays (ids, coefficients
+    ``A``, offsets ``b``, row ``norms``) and analyses nothing;
+    :meth:`build` takes ``(id, Halfspace)`` pairs and analyses every
+    orientation up front.
     """
 
-    def __init__(self) -> None:
-        self._forbidden: Dict[Tuple[int, int], Set[Tuple[int, int]]] = {}
+    def __init__(
+        self,
+        ids: Sequence[int],
+        A: np.ndarray,
+        b: np.ndarray,
+        norms: np.ndarray,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        *,
+        reuse: Optional["PairwiseConstraints"] = None,
+    ) -> None:
         #: identity of the analysed configuration, for safe incremental reuse
-        self._ids: Tuple[int, ...] = ()
-        self._lower: Optional[np.ndarray] = None
-        self._upper: Optional[np.ndarray] = None
-        self._masks: Optional[Tuple[list, list]] = None
-        self._masks_m = -1
-        #: number of leading positions whose pair verdicts were copied from a
-        #: reused analysis (0 when built from scratch)
+        self._ids: Tuple[int, ...] = tuple(ids)
+        self._lower = lower
+        self._upper = upper
+        #: orientation -> per-position conflict bitmasks
+        self._masks: Dict[Tuple[int, int], List[int]] = {}
+        self._pair_count: Optional[int] = None
+        #: number of leading positions whose masks come from a reused
+        #: analysis (0 when built from scratch)
         self._reused_prefix_len = 0
+        self._reused: Dict[Tuple[int, int], List[int]] = {}
+        if (
+            reuse is not None
+            and reuse.built
+            and len(reuse._ids) <= len(self._ids)
+            and reuse._ids == self._ids[: len(reuse._ids)]
+            and np.array_equal(reuse._lower, lower)
+            and np.array_equal(reuse._upper, upper)
+        ):
+            self._reused_prefix_len = len(reuse._ids)
+            self._reused = reuse._masks
+        #: rows still to analyse: coefficients, offsets and the
+        #: inscribed-radius margin; dropped once every orientation is in
+        self._rows: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = (
+            A, b, MIN_INTERIOR_RADIUS * norms
+        )
 
     @classmethod
     def build(
@@ -253,120 +345,124 @@ class PairwiseConstraints:
         lower: np.ndarray,
         upper: np.ndarray,
         *,
-        counters: Optional[CostCounters] = None,
         reuse: Optional["PairwiseConstraints"] = None,
     ) -> "PairwiseConstraints":
         """Analyse every pair of partial half-spaces within the leaf box.
 
-        ``reuse`` may carry the constraints of a previous processor of the
-        same leaf; when its id list is a prefix of the current one and the
-        box is identical, its pair verdicts are copied and only the pairs
+        ``reuse`` may carry the built constraints of a previous processor
+        of the same leaf; when its id list is a prefix of the current one
+        and the box is identical, its verdicts are copied and only the pairs
         involving newly arrived half-spaces are analysed.
         """
-        constraints = cls()
-        m = len(halfspaces)
         lower = np.asarray(lower, dtype=float).ravel()
         upper = np.asarray(upper, dtype=float).ravel()
-        constraints._ids = tuple(hid for hid, _ in halfspaces)
-        constraints._lower = lower
-        constraints._upper = upper
-        if m < 2:
-            return constraints
-        start = 0
-        if (
-            reuse is not None
-            and reuse._lower is not None
-            and len(reuse._ids) <= m
-            and reuse._ids == constraints._ids[: len(reuse._ids)]
-            and np.array_equal(reuse._lower, lower)
-            and np.array_equal(reuse._upper, upper)
-        ):
-            constraints._forbidden.update(reuse._forbidden)
-            start = len(reuse._ids)
-            constraints._reused_prefix_len = start
-        if start >= m:
-            return constraints
-        A = np.vstack([h.coefficients for _, h in halfspaces])
-        b = np.array([h.offset for _, h in halfspaces], dtype=float)
+        if halfspaces:
+            A = np.vstack([h.coefficients for _, h in halfspaces])
+            b = np.array([h.offset for _, h in halfspaces], dtype=float)
+        else:
+            A, b = np.zeros((0, lower.shape[0])), np.zeros(0)
         norms = np.sqrt(np.einsum("ij,ij->i", A, A))
-        norms = np.where(norms > 0, norms, 1.0)
-        #: right-hand sides including the inscribed-radius margin, per
-        #: orientation: sign s turns ``a · x > b`` into ``(s a) · x > s b``.
-        margin = MIN_INTERIOR_RADIUS * norms
-
-        # Pairs not yet covered by the reused verdicts: those whose larger
-        # index falls in the newly arrived suffix.
-        pair_idx = np.array(
-            [(i, j) for j in range(max(start, 1), m) for i in range(j)],
-            dtype=np.intp,
+        constraints = cls(
+            [hid for hid, _ in halfspaces], A, b, np.where(norms > 0, norms, 1.0),
+            lower, upper, reuse=reuse,
         )
-        i_idx, j_idx = pair_idx[:, 0], pair_idx[:, 1]
-        results = {}
-        for bit_i in (0, 1):
-            s_i = 1.0 if bit_i else -1.0
-            u = s_i * A[i_idx]
-            c = s_i * b[i_idx] + margin[i_idx]
-            for bit_j in (0, 1):
-                s_j = 1.0 if bit_j else -1.0
-                v = s_j * A[j_idx]
-                d = s_j * b[j_idx] + margin[j_idx]
-                results[(bit_i, bit_j)] = _pair_combo_feasible(
-                    u, c, v, d, lower, upper
-                )
-        for row, (pos_i, pos_j) in enumerate(pair_idx):
-            forbidden = {
-                combo
-                for combo, feasible in results.items()
-                if not feasible[row]
-            }
-            if forbidden:
-                constraints._forbidden[(int(pos_i), int(pos_j))] = forbidden
+        constraints.conflict_masks()
         return constraints
 
+    @property
+    def built(self) -> bool:
+        """True once every orientation has been analysed."""
+        return self._rows is None
+
+    def _analyse(self, orientations: Sequence[Tuple[int, int]]) -> None:
+        """Analyse the missing ``orientations`` for every pair, in one pass."""
+        missing = [o for o in orientations if o not in self._masks]
+        if not missing:
+            return
+        A, b, margin = self._rows
+        m, start = len(self._ids), self._reused_prefix_len
+        # Pairs not covered by the reused verdicts: those whose larger index
+        # falls in the newly arrived suffix, ordered by (j, i).
+        j_idx, i_idx = _pair_indices(m)
+        j_idx = j_idx[start * (start - 1) // 2:]
+        i_idx = i_idx[start * (start - 1) // 2:]
+        # Sign s turns ``a · x > b`` into ``(s a) · x > s b``; one stacked
+        # block of pair rows per orientation.
+        s_i = np.array([1.0 if bit_i else -1.0 for bit_i, _ in missing])
+        s_j = np.array([1.0 if bit_j else -1.0 for _, bit_j in missing])
+        dim = A.shape[1]
+        feasible = _pair_combo_feasible(
+            (s_i[:, None, None] * A[i_idx][None]).reshape(-1, dim),
+            (s_i[:, None] * b[i_idx][None] + margin[i_idx][None]).ravel(),
+            (s_j[:, None, None] * A[j_idx][None]).reshape(-1, dim),
+            (s_j[:, None] * b[j_idx][None] + margin[j_idx][None]).ravel(),
+            self._lower,
+            self._upper,
+        ).reshape(len(missing), -1)
+        # Forbidden[o, p - start, q]: the pair (q, p) forbids orientation o;
+        # each row packs into the position's bitmask (bit q = 2 ** q).
+        forbidden = np.zeros((len(missing), m - start, m), dtype=bool)
+        forbidden[:, j_idx - start, i_idx] = ~feasible
+        packed = np.packbits(forbidden, axis=2, bitorder="little")
+        width = packed.shape[2]
+        raw = packed.tobytes()
+        for index, orientation in enumerate(missing):
+            base = index * (m - start) * width
+            self._masks[orientation] = list(self._reused.get(orientation, ())) + [
+                int.from_bytes(raw[base + row * width: base + (row + 1) * width], "little")
+                for row in range(m - start)
+            ]
+        if len(self._masks) == len(_ORIENTATIONS):
+            self._rows = None
+            self._reused = {}
+
+    def masks(self, bit_i: int, bit_j: int) -> List[int]:
+        """Per-position conflict bitmasks of one orientation.
+
+        ``masks(bit_i, bit_j)[p]`` has bit ``q`` set when the pair
+        ``(q, p)``, ``q < p``, forbids ``(bit_q, bit_p) = (bit_i, bit_j)``.
+        Only this orientation is analysed when it is missing.
+        """
+        self._analyse(((bit_i, bit_j),))
+        return self._masks[bit_i, bit_j]
+
+    def conflict_masks(self) -> Tuple[List[int], List[int], List[int], List[int]]:
+        """The masks of all four orientations, ``(c00, c01, c10, c11)``.
+
+        ``cab`` is :meth:`masks` ``(a, b)``: assigning bit ``b`` at position
+        ``p`` conflicts with the earlier positions in ``ones_mask &
+        c1b[p]`` and ``zeros_mask & c0b[p]``.
+        """
+        self._analyse(_ORIENTATIONS)
+        return tuple(self._masks[o] for o in _ORIENTATIONS)
+
     def violates(self, bits: Sequence[int]) -> bool:
-        """True when ``bits`` matches a forbidden combination for some pair."""
-        for (pos_i, pos_j), forbidden in self._forbidden.items():
-            if (bits[pos_i], bits[pos_j]) in forbidden:
+        """True when ``bits`` matches a forbidden combination for some pair.
+
+        An all-zeros ``bits`` reads only the ``(0, 0)`` verdicts.
+        """
+        self._analyse(_ORIENTATIONS if any(bits) else ((0, 0),))
+        masks = self._masks
+        ones_mask = zeros_mask = 0
+        for pos, bit in enumerate(bits):
+            if (ones_mask and ones_mask & masks[1, bit][pos]) or (
+                zeros_mask & masks[0, bit][pos]
+            ):
                 return True
+            if bit:
+                ones_mask |= 1 << pos
+            else:
+                zeros_mask |= 1 << pos
         return False
 
-    def violation_mask(self, bit_matrix: np.ndarray) -> np.ndarray:
-        """Boolean mask over the rows of ``bit_matrix`` violating some pair."""
-        mask = np.zeros(bit_matrix.shape[0], dtype=bool)
-        for (pos_i, pos_j), forbidden in self._forbidden.items():
-            col_i = bit_matrix[:, pos_i]
-            col_j = bit_matrix[:, pos_j]
-            for bit_i, bit_j in forbidden:
-                mask |= (col_i == bit_i) & (col_j == bit_j)
-        return mask
-
-    def conflict_masks(self, m: int) -> Tuple[list, list]:
-        """Per-position conflict bitmasks for the prefix-pruned DFS.
-
-        Returns ``(one_masks, zero_masks)``, each a list with one
-        ``[mask_for_bit0, mask_for_bit1]`` entry per position ``p``:
-        ``one_masks[p][v]`` has bit ``q`` set when assigning bit ``v`` at
-        position ``p`` conflicts with an earlier position ``q < p`` that was
-        assigned 1 (the pair ``(q, p)`` forbids the combination ``(1, v)``);
-        ``zero_masks[p][v]`` covers earlier positions assigned 0.  The DFS
-        tests a partial assignment with two bitwise ANDs per extension.
-        """
-        if self._masks is None or self._masks_m != m:
-            one_masks = [[0, 0] for _ in range(m)]
-            zero_masks = [[0, 0] for _ in range(m)]
-            for (pos_i, pos_j), forbidden in self._forbidden.items():
-                bit_i_mask = 1 << pos_i
-                for bit_i, bit_j in forbidden:
-                    if bit_i:
-                        one_masks[pos_j][bit_j] |= bit_i_mask
-                    else:
-                        zero_masks[pos_j][bit_j] |= bit_i_mask
-            self._masks = (one_masks, zero_masks)
-            self._masks_m = m
-        return self._masks
-
     def __len__(self) -> int:
-        return len(self._forbidden)
+        """Number of pairs forbidding at least one combination."""
+        if self._pair_count is None:
+            c00, c01, c10, c11 = self.conflict_masks()
+            self._pair_count = sum(
+                (a | b | c | d).bit_count() for a, b, c, d in zip(c00, c01, c10, c11)
+            )
+        return self._pair_count
 
 
 @dataclass(frozen=True)
@@ -379,9 +475,11 @@ class LeafReuseState:
         Half-space ids of the partial set the state was computed for; reuse
         requires them to be a prefix of the new processor's partial ids.
     pairwise:
-        The previous processor's pairwise analysis (None when it was never
-        built); old pair verdicts are copied verbatim and only new pairs are
-        analysed.
+        The previous processor's pairwise analysis once built (None when it
+        was never built, e.g. for a leaf whose scan stopped at weight 0);
+        old pair verdicts are copied verbatim and only new pairs are
+        analysed.  Without one the replacement analyses every pair, with the
+        same verdicts.
     frontier:
         Per-weight tuples of surviving candidate combinations (the
         generation survivors, before the screens) over ``partial_ids``
@@ -447,11 +545,11 @@ class WithinLeafProcessor:
         configuration (the lower weights' tasks), kept after the cores of
         ``seed_state``; candidates containing one skip the LP.
     seed_state:
-        :class:`LeafReuseState` of the previous processor of the same leaf;
-        when its partial ids are a prefix of this processor's, the pairwise
-        conflict masks are extended instead of recomputed, its cores are
-        inherited and candidate generation resumes from the cached
-        surviving-prefix frontier.
+        :class:`LeafReuseState` of the previous processor of the same leaf,
+        run with the same options; when its partial ids are a prefix of this
+        processor's, the pairwise conflict masks are extended instead of
+        recomputed, its cores are inherited and candidate generation resumes
+        from the cached surviving-prefix frontier.
     track_frontier:
         Memoise the generation survivors per weight so :meth:`reuse_state`
         can hand them to a replacement processor.  Off by default — only a
@@ -464,7 +562,8 @@ class WithinLeafProcessor:
         reconstructed per :class:`~repro.engine.tasks.LeafTask` (each weight
         runs in a fresh — possibly remote — processor, but the pair analysis
         is deterministic, so shipping it skips the recomputation without
-        changing any decision).  Ignored when the id list does not match.
+        changing any decision).  Ignored unless it is built and its id list
+        and box match.
     use_planar:
         Enable the planar-arrangement sweep for the 2-dimensional reduced
         space (data dimensionality 3): candidates come from the faces of
@@ -504,12 +603,11 @@ class WithinLeafProcessor:
         self.counters = counters
         #: cooperative wall-clock budget (None → every checkpoint is free)
         self._deadline = deadline
-        self._base = reduced_space_constraints(self.dim)
+        self._ids = tuple(hid for hid, _ in self.partial)
         # Pre-stacked coefficient arrays: the feasibility tests flip the signs
         # of individual rows per bit-string instead of rebuilding half-space
         # objects, which keeps the per-cell cost to a few vector operations.
-        self._base_A = np.vstack([h.coefficients for h in self._base])
-        self._base_b = np.array([h.offset for h in self._base], dtype=float)
+        self._base, self._base_A, self._base_b, self._base_norms = _simplex_rows(self.dim)
         if self.partial:
             self._partial_A = np.vstack([h.coefficients for _, h in self.partial])
             self._partial_b = np.array([h.offset for _, h in self.partial], dtype=float)
@@ -519,19 +617,6 @@ class WithinLeafProcessor:
             self._partial_A = np.zeros((0, self.dim))
             self._partial_b = np.zeros(0)
             self._partial_norms = np.ones(0)
-        # Per-row corner-extreme orientation bounds: a row whose oriented
-        # half-space is unsatisfiable anywhere in the leaf box proves every
-        # partial assignment fixing that orientation empty, so the DFS never
-        # expands it.  Mirrors the batch reject screen's margin exactly.
-        if self.partial:
-            row_min, row_max = box_row_extremes(self._partial_A, self.lower, self.upper)
-            row_margin = MIN_INTERIOR_RADIUS * self._partial_norms
-            self._row_allowed = (
-                (row_min < self._partial_b - row_margin).tolist(),
-                (row_max > self._partial_b + row_margin).tolist(),
-            )
-        else:
-            self._row_allowed = ([], [])
         #: generation survivors per weight (the surviving-prefix frontier
         #: inherited by the replacement processor on AA re-scans)
         self._track_frontier = bool(track_frontier)
@@ -546,51 +631,80 @@ class WithinLeafProcessor:
         self._planar_weights: Optional[Dict[int, List[Tuple[int, ...]]]] = None
         reuse_pairwise: Optional[PairwiseConstraints] = None
         inherited_cores: Sequence[Tuple[int, int]] = ()
-        if seed_state is not None:
-            ids = tuple(hid for hid, _ in self.partial)
-            if seed_state.extends_to(ids):
-                reuse_pairwise = seed_state.pairwise
-                if seed_state.frontier:
-                    self._seed_frontier = (
-                        len(seed_state.partial_ids), seed_state.frontier
-                    )
-                self._planar_seed = seed_state.planar
-                inherited_cores = seed_state.cores
+        if seed_state is not None and seed_state.extends_to(self._ids):
+            reuse_pairwise = seed_state.pairwise
+            if seed_state.frontier:
+                self._seed_frontier = (
+                    len(seed_state.partial_ids), seed_state.frontier
+                )
+            self._planar_seed = seed_state.planar
+            inherited_cores = seed_state.cores
         #: infeasibility cores as (ones_mask, zeros_mask) over positions
         self._cores: List[Tuple[int, int]] = list(
             chain(inherited_cores, seed_cores)
         )[:_MAX_CORES]
         self._seed_core_count = len(self._cores)
-        if self.dim == 2:
-            self._oriented = [
-                (halfspace, halfspace.complement()) for _, halfspace in self.partial
-            ]
-        # Probe panel: leaf centre first (mirrors the solver's quick accept),
-        # then inward-shrunk corners, then inherited witness points.
-        self._probe_points: List[np.ndarray] = list(self._default_probes())
-        if seed_probes:
-            for point in seed_probes:
-                if len(self._probe_points) >= _MAX_PROBES:
-                    break
-                self._probe_points.append(np.asarray(point, dtype=float))
-        self._seed_count = len(self._probe_points)
+        # Probe panel, materialised by the first batch screen: leaf centre
+        # first (mirrors the solver's quick accept), then inward-shrunk
+        # corners, then inherited witness points.
+        self._seed_probes = seed_probes
+        self._probe_points: Optional[List[np.ndarray]] = None
+        self._seed_count = 0
         self._probe_cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        #: the pair analysis; its verdicts are analysed on first read
         self._pairwise: Optional[PairwiseConstraints] = None
+        self._pairwise_min_size = pairwise_min_size
         if use_pairwise and len(self.partial) >= pairwise_min_size:
-            ids = tuple(hid for hid, _ in self.partial)
             if (
                 pairwise is not None
-                and pairwise._ids == ids
-                and pairwise._lower is not None
+                and pairwise.built
+                and pairwise._ids == self._ids
                 and np.array_equal(pairwise._lower, self.lower)
                 and np.array_equal(pairwise._upper, self.upper)
             ):
                 self._pairwise = pairwise
             else:
-                self._pairwise = PairwiseConstraints.build(
-                    self.partial, self.lower, self.upper,
-                    counters=counters, reuse=reuse_pairwise,
+                self._pairwise = PairwiseConstraints(
+                    self._ids, self._partial_A, self._partial_b,
+                    self._partial_norms, self.lower, self.upper,
+                    reuse=reuse_pairwise,
                 )
+
+    @cached_property
+    def _row_bounds(self) -> Tuple[List[bool], List[bool], List[bool], List[bool]]:
+        """Per-row corner-extreme orientation bounds, for the DFS.
+
+        ``(allowed0, allowed1, zeros_from, ones_from)``: ``allowedv[p]`` is
+        False when orienting row ``p`` as bit ``v`` is unsatisfiable anywhere
+        in the leaf box, which proves every partial assignment fixing that
+        orientation empty, so the DFS never expands it.  Mirrors the batch
+        reject screen's margin exactly.  ``zeros_from[p]`` (``ones_from[p]``)
+        is True when every position from ``p`` on allows a 0 (a 1): the row
+        check of a forced tail in one lookup.
+        """
+        row_min, row_max = box_row_extremes(self._partial_A, self.lower, self.upper)
+        row_margin = MIN_INTERIOR_RADIUS * self._partial_norms
+        allowed0 = row_min < self._partial_b - row_margin
+        allowed1 = row_max > self._partial_b + row_margin
+        # Suffix "all allowed" flags, with a True sentinel past the end.
+        zeros_from = np.append(np.logical_and.accumulate(allowed0[::-1])[::-1], True)
+        ones_from = np.append(np.logical_and.accumulate(allowed1[::-1])[::-1], True)
+        return allowed0.tolist(), allowed1.tolist(), zeros_from.tolist(), ones_from.tolist()
+
+    @cached_property
+    def _oriented(self) -> List[Tuple[Halfspace, Halfspace]]:
+        """``(inside, outside)`` half-space pairs, for 2-D clipping."""
+        return [(halfspace, halfspace.complement()) for _, halfspace in self.partial]
+
+    @cached_property
+    def _base_polygon(self) -> Optional[np.ndarray]:
+        """The leaf box clipped by the base rows (2-D), or None when empty."""
+        polygon = box_polygon(self.lower, self.upper)
+        for constraint in self._base:
+            polygon = clip_polygon(polygon, constraint)
+            if polygon is None:
+                return None
+        return polygon
 
     def reuse_state(self) -> LeafReuseState:
         """Snapshot of the reusable per-leaf state for a replacement processor.
@@ -600,8 +714,8 @@ class WithinLeafProcessor:
         :class:`LeafReuseState`.
         """
         return LeafReuseState(
-            partial_ids=tuple(hid for hid, _ in self.partial),
-            pairwise=self._pairwise,
+            partial_ids=self._ids,
+            pairwise=self.built_pairwise(),
             frontier=dict(self._frontier),
             planar=self._planar,
             cores=tuple(self._cores),
@@ -609,8 +723,20 @@ class WithinLeafProcessor:
 
     @property
     def pairwise_constraints(self) -> Optional[PairwiseConstraints]:
-        """The pair analysis in effect (None when disabled or not built)."""
+        """The pair analysis, built on first read (None when disabled)."""
+        if self._pairwise is not None:
+            self._pairwise.conflict_masks()
         return self._pairwise
+
+    def built_pairwise(self) -> Optional[PairwiseConstraints]:
+        """The pair analysis if something has built it, else None.
+
+        Never builds: this is what a processor hands on (to the next
+        weight's task, to a grown leaf's replacement processor).
+        """
+        if self._pairwise is not None and self._pairwise.built:
+            return self._pairwise
+        return None
 
     @property
     def planar_arrangement(self) -> Optional[PlanarArrangement]:
@@ -627,33 +753,46 @@ class WithinLeafProcessor:
         return dict(self._frontier)
 
     # --------------------------------------------------------------- plumbing
-    def _default_probes(self) -> List[np.ndarray]:
+    def _default_probes(self) -> np.ndarray:
         """Deterministic spread of probe points inside the leaf box."""
         centre = (self.lower + self.upper) / 2.0
-        points = [centre]
         extent = self.upper - self.lower
         if np.any(extent <= 0):
-            return points
-        # Two rings of corner probes: mildly shrunk ({1/4, 3/4} of the extent
-        # per axis, covering the bulk of each orthant) and near-corner
-        # ({1/20, 19/20}, capturing the extreme regions that certify pairwise
-        # orientation combinations).  Beyond 5 dimensions take a
-        # deterministic subset to bound the panel size.
+            return centre[None, :]
+        # Two rings of corner probes, interleaved per corner: mildly shrunk
+        # ({1/4, 3/4} of the extent per axis, covering the bulk of each
+        # orthant) and near-corner ({1/20, 19/20}, capturing the extreme
+        # regions that certify pairwise orientation combinations).  Beyond 5
+        # dimensions take a deterministic subset to bound the panel size.
         corner_count = min(2 ** self.dim, 32)
-        axes = np.arange(self.dim)
-        for corner in range(corner_count):
-            bits = (corner >> axes) & 1
-            points.append(self.lower + np.where(bits, 0.75, 0.25) * extent)
-            points.append(self.lower + np.where(bits, 0.95, 0.05) * extent)
-        return points
+        bits = (np.arange(corner_count)[:, None] >> np.arange(self.dim)) & 1
+        rings = np.stack(
+            [np.where(bits, 0.75, 0.25), np.where(bits, 0.95, 0.05)], axis=1
+        ).reshape(-1, self.dim)
+        return np.vstack([centre, self.lower + rings * extent])
+
+    def _panel_points(self) -> List[np.ndarray]:
+        """The probe points, materialised on first use."""
+        if self._probe_points is None:
+            points = list(self._default_probes())
+            if self._seed_probes:
+                room = max(0, _MAX_PROBES - len(points))
+                points.extend(
+                    np.asarray(point, dtype=float) for point in self._seed_probes[:room]
+                )
+            self._probe_points = points
+            self._seed_count = len(points)
+        return self._probe_points
 
     def witness_probes(self) -> List[np.ndarray]:
         """Witness points accumulated beyond the deterministic panel.
 
         Used to seed the replacement processor when the leaf's partial set
         grows: the inherited witnesses remain interior points of cells of the
-        refined arrangement.
+        refined arrangement.  Empty when the panel was never materialised.
         """
+        if self._probe_points is None:
+            return []
         return self._probe_points[self._seed_count:]
 
     def learned_cores(self) -> List[Tuple[int, int]]:
@@ -662,9 +801,10 @@ class WithinLeafProcessor:
         return self._cores[self._seed_core_count:]
 
     def _add_probe(self, point: np.ndarray) -> None:
-        if len(self._probe_points) >= _MAX_PROBES:
+        points = self._panel_points()
+        if len(points) >= _MAX_PROBES:
             return
-        self._probe_points.append(point)
+        points.append(point)
         self._probe_cache = None
 
     def _probe_panel(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -676,12 +816,12 @@ class WithinLeafProcessor:
         constraints, mirroring the solver's quick-accept conditions.
         """
         if self._probe_cache is None:
-            P = np.asarray(self._probe_points, dtype=float)
+            P = np.asarray(self._panel_points(), dtype=float)
             threshold = ACCEPT_MARGIN_FACTOR * MIN_INTERIOR_RADIUS
             valid = np.minimum(P - self.lower, self.upper - P).min(axis=1) > threshold
-            base_norms = np.sqrt(np.einsum("ij,ij->i", self._base_A, self._base_A))
-            base_norms = np.where(base_norms > 0, base_norms, 1.0)
-            base_margin = (self._base_A @ P.T - self._base_b[:, None]) / base_norms[:, None]
+            base_margin = (
+                self._base_A @ P.T - self._base_b[:, None]
+            ) / self._base_norms[:, None]
             valid &= (base_margin > threshold).all(axis=0)
             if self.partial:
                 margins = (
@@ -767,11 +907,9 @@ class WithinLeafProcessor:
         cell — a thin sliver can have area yet no inscribed radius — goes
         to the LP.
         """
-        polygon = box_polygon(self.lower, self.upper)
-        for constraint in self._base:
-            polygon = clip_polygon(polygon, constraint)
-            if polygon is None:
-                return None
+        polygon = self._base_polygon
+        if polygon is None:
+            return None
         for (inside, outside), bit in zip(self._oriented, bits):
             polygon = clip_polygon(polygon, inside if bit else outside)
             if polygon is None:
@@ -783,9 +921,7 @@ class WithinLeafProcessor:
             row_margins = signs * (
                 self._partial_A @ centroid - self._partial_b
             ) / self._partial_norms
-            base_margins = (self._base_A @ centroid - self._base_b) / np.linalg.norm(
-                self._base_A, axis=1
-            )
+            base_margins = (self._base_A @ centroid - self._base_b) / self._base_norms
             if (
                 min((centroid - self.lower).min(), (self.upper - centroid).min()) > threshold
                 and (base_margins > threshold).all()
@@ -798,6 +934,28 @@ class WithinLeafProcessor:
     #: Candidates processed per vectorised batch; bounds the bit-matrix
     #: memory when the surviving frontier of a weight runs into the millions.
     _CHUNK = 32768
+
+    def _dfs_masks(self, weight: int, states: list) -> Optional[tuple]:
+        """The conflict masks a DFS walk from ``states`` at ``weight`` reads.
+
+        ``(c00, c01, c10, c11)`` as in
+        :meth:`PairwiseConstraints.conflict_masks`, or ``None`` when the walk
+        needs none: no pair analysis, nothing forbidden, or — at weight 0 —
+        every start state's all-zeros tail already cut by a row bound.  A
+        weight-0 walk never assigns a 1, so its ones-masks are never read
+        with a non-zero ``ones_mask``: it analyses the ``(0, 0)``
+        orientation only and gets ``None`` for the other three.
+        """
+        pairwise = self._pairwise
+        if pairwise is None or not states:
+            return None
+        if weight == 0:
+            zeros_from = self._row_bounds[2]
+            if not any(zeros_from[state[0]] for state in states):
+                return None
+            c00 = pairwise.masks(0, 0)
+            return (c00, None, None, None) if any(c00) else None
+        return pairwise.conflict_masks() if len(pairwise) else None
 
     def _dfs_chunks(self, weight: int, init_states: Optional[list] = None):
         """Prefix-pruned DFS over sign-vector index prefixes.
@@ -816,88 +974,75 @@ class WithinLeafProcessor:
         the frontier-seeded re-enumeration of grown leaves.
         """
         m = len(self.partial)
-        allowed0, allowed1 = self._row_allowed
-        if self._pairwise is not None and len(self._pairwise):
-            one_masks, zero_masks = self._pairwise.conflict_masks(m)
-        else:
-            one_masks = zero_masks = None
+        allowed0, allowed1, zeros_from, ones_from = self._row_bounds
+        if init_states is None:
+            init_states = [(0, 0, 0, 0, ())]
+        masks = self._dfs_masks(weight, init_states)
+        c00, c01, c10, c11 = masks if masks is not None else (None,) * 4
         counters = self.counters
         cuts = 0
         out: List[Tuple[int, ...]] = []
-        if init_states is None:
-            init_states = [(0, 0, 0, 0, ())]
         # LIFO stack; within one expansion the 0-branch is pushed first so
         # the 1-branch is popped (and therefore emitted) first.
         stack = list(reversed(init_states))
         while stack:
             pos, count, ones_mask, zeros_mask, ones = stack.pop()
             if count == weight:
-                # Tail of forced zeros: validate the remaining positions in
-                # place instead of pushing one stack frame per position.
-                valid = True
-                while pos < m:
-                    if not allowed0[pos]:
-                        valid = False
-                        break
-                    if zero_masks is not None and (
-                        (ones_mask & one_masks[pos][0])
-                        or (zeros_mask & zero_masks[pos][0])
-                    ):
-                        valid = False
-                        break
-                    zeros_mask |= 1 << pos
-                    pos += 1
-                if valid:
-                    out.append(ones)
-                    if len(out) >= self._CHUNK:
-                        yield out
-                        out = []
-                else:
+                # Tail of forced zeros: one row-bound lookup, then the pair
+                # checks in place instead of one stack frame per position.
+                if not zeros_from[pos]:
                     cuts += 1
+                    continue
+                if c00 is not None:
+                    while pos < m:
+                        if (ones_mask and ones_mask & c10[pos]) or (
+                            zeros_mask & c00[pos]
+                        ):
+                            break
+                        zeros_mask |= 1 << pos
+                        pos += 1
+                    if pos < m:
+                        cuts += 1
+                        continue
+                out.append(ones)
+                if len(out) >= self._CHUNK:
+                    yield out
+                    out = []
                 continue
             if weight - count == m - pos:
                 # Tail of forced ones.
-                valid = True
-                while pos < m:
-                    if not allowed1[pos]:
-                        valid = False
-                        break
-                    if one_masks is not None and (
-                        (ones_mask & one_masks[pos][1])
-                        or (zeros_mask & zero_masks[pos][1])
-                    ):
-                        valid = False
-                        break
-                    ones_mask |= 1 << pos
-                    ones = ones + (pos,)
-                    pos += 1
-                if valid:
-                    out.append(ones)
-                    if len(out) >= self._CHUNK:
-                        yield out
-                        out = []
-                else:
+                if not ones_from[pos]:
                     cuts += 1
+                    continue
+                if c00 is not None:
+                    start = pos
+                    while pos < m:
+                        if (ones_mask & c11[pos]) or (zeros_mask & c01[pos]):
+                            break
+                        ones_mask |= 1 << pos
+                        pos += 1
+                    if pos < m:
+                        cuts += 1
+                        continue
+                    pos = start
+                out.append(ones + tuple(range(pos, m)))
+                if len(out) >= self._CHUNK:
+                    yield out
+                    out = []
                 continue
             bit = 1 << pos
             # 0-branch (affordable here because weight - count < m - pos).
             if allowed0[pos] and not (
-                zero_masks is not None
-                and (
-                    (ones_mask & one_masks[pos][0])
-                    or (zeros_mask & zero_masks[pos][0])
-                )
+                c00 is not None
+                and ((ones_mask & c10[pos]) or (zeros_mask & c00[pos]))
             ):
                 stack.append((pos + 1, count, ones_mask, zeros_mask | bit, ones))
             else:
                 cuts += 1
             # 1-branch (count < weight is implied by the tail check above).
             if allowed1[pos] and not (
-                one_masks is not None
-                and (
-                    (ones_mask & one_masks[pos][1])
-                    or (zeros_mask & zero_masks[pos][1])
-                )
+                c00 is not None
+                and ((ones_mask & c11[pos]) or (zeros_mask & c01[pos]))
             ):
                 stack.append(
                     (pos + 1, count + 1, ones_mask | bit, zeros_mask, ones + (pos,))
@@ -916,11 +1061,10 @@ class WithinLeafProcessor:
         previous processor's ``old_m`` positions, to a surviving assignment
         of some weight ``w'' ∈ [w - (m - old_m), w]``; conflict masks for
         old pairs are unchanged, so exactly the cached frontier assignments
-        can prefix a new candidate.  Each cached assignment is re-validated
-        against the (possibly richer) current masks and becomes a DFS start
-        state at position ``old_m``.  Returns ``None`` when any required
-        frontier weight is missing or overflowed — the caller then falls
-        back to the full DFS.
+        can prefix a new candidate.  Each cached assignment becomes a DFS
+        start state at position ``old_m``.  Returns ``None`` when any
+        required frontier weight is missing or overflowed — the caller then
+        falls back to the full DFS.
         """
         if self._seed_frontier is None:
             return None
@@ -934,23 +1078,16 @@ class WithinLeafProcessor:
         for w2 in needed:
             if frontier.get(w2) is None:
                 return None
-        allowed0, allowed1 = self._row_allowed
-        if self._pairwise is not None and len(self._pairwise):
-            one_masks, zero_masks = self._pairwise.conflict_masks(m)
-        else:
-            one_masks = zero_masks = None
         # The cached combos already passed the previous processor's checks.
         # Row bounds over the old positions are identical by construction
-        # (same box, prefix rows), and when the pair verdicts for the old
-        # prefix were copied verbatim the mask checks are identical too — the
-        # replay below can then never fail and is skipped.
-        trusted = one_masks is None or (
-            self._pairwise is not None
-            and self._pairwise._reused_prefix_len >= old_m
-        )
-        states = []
-        if trusted:
+        # (same box, prefix rows), and so are the pair verdicts whenever the
+        # previous processor (same options) had a pair analysis too: the
+        # replay below can then never fail and is skipped.  Only a leaf that
+        # grew past ``pairwise_min_size`` replays its frontier against the
+        # verdicts its old partial set never had.
+        if self._pairwise is None or old_m >= self._pairwise_min_size:
             prefix_mask = (1 << old_m) - 1
+            states = []
             for w2 in needed:
                 for combo in frontier[w2]:
                     ones_mask = 0
@@ -960,33 +1097,40 @@ class WithinLeafProcessor:
                         (old_m, len(combo), ones_mask, prefix_mask ^ ones_mask, combo)
                     )
             return states
-        for w2 in needed:
-            for combo in frontier[w2]:
-                ones_mask = 0
-                zeros_mask = 0
-                next_one = 0
-                valid = True
-                for pos in range(old_m):
-                    if next_one < len(combo) and combo[next_one] == pos:
-                        value = 1
-                        next_one += 1
-                    else:
-                        value = 0
-                    if not (allowed1[pos] if value else allowed0[pos]):
-                        valid = False
-                        break
-                    if one_masks is not None and (
-                        (ones_mask & one_masks[pos][value])
-                        or (zeros_mask & zero_masks[pos][value])
+        combos = [combo for w2 in needed for combo in frontier[w2]]
+        if not combos:
+            return []
+        if weight == 0:
+            # Only the all-zeros prefix: the (0, 0) verdicts decide it.
+            c00 = self._pairwise.masks(0, 0)
+            c01 = c10 = c11 = None
+        else:
+            c00, c01, c10, c11 = self._pairwise.conflict_masks()
+        allowed0, allowed1 = self._row_bounds[:2]
+        states = []
+        for combo in combos:
+            ones_mask = 0
+            zeros_mask = 0
+            next_one = 0
+            valid = True
+            for pos in range(old_m):
+                if next_one < len(combo) and combo[next_one] == pos:
+                    if not allowed1[pos] or (ones_mask & c11[pos]) or (
+                        zeros_mask & c01[pos]
                     ):
                         valid = False
                         break
-                    if value:
-                        ones_mask |= 1 << pos
-                    else:
-                        zeros_mask |= 1 << pos
-                if valid:
-                    states.append((old_m, len(combo), ones_mask, zeros_mask, combo))
+                    ones_mask |= 1 << pos
+                    next_one += 1
+                else:
+                    if not allowed0[pos] or (ones_mask and ones_mask & c10[pos]) or (
+                        zeros_mask & c00[pos]
+                    ):
+                        valid = False
+                        break
+                    zeros_mask |= 1 << pos
+            if valid:
+                states.append((old_m, len(combo), ones_mask, zeros_mask, combo))
         return states
 
     def _candidate_chunks(self, weight: int):

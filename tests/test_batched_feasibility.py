@@ -145,19 +145,21 @@ class TestPairwiseSoundness:
         lower = rng.uniform(0.0, 0.3, size=3)
         upper = lower + rng.uniform(0.2, 0.5, size=3)
         constraints = PairwiseConstraints.build(halfspaces, lower, upper)
-        for (pos_i, pos_j), forbidden in constraints._forbidden.items():
-            h_i = halfspaces[pos_i][1]
-            h_j = halfspaces[pos_j][1]
-            for bit_i, bit_j in forbidden:
-                parts = [
-                    h_i if bit_i else h_i.complement(),
-                    h_j if bit_j else h_j.complement(),
-                ]
-                result = find_interior_point(parts, lower, upper)
-                assert not result.feasible, (
-                    f"combo {(bit_i, bit_j)} of pair {(pos_i, pos_j)} was "
-                    "forbidden but is feasible"
-                )
+        orientations = ((0, 0), (0, 1), (1, 0), (1, 1))
+        for (bit_i, bit_j), masks in zip(orientations, constraints.conflict_masks()):
+            for pos_j, mask in enumerate(masks):
+                h_j = halfspaces[pos_j][1]
+                for pos_i in (q for q in range(pos_j) if mask >> q & 1):
+                    h_i = halfspaces[pos_i][1]
+                    parts = [
+                        h_i if bit_i else h_i.complement(),
+                        h_j if bit_j else h_j.complement(),
+                    ]
+                    result = find_interior_point(parts, lower, upper)
+                    assert not result.feasible, (
+                        f"combo {(bit_i, bit_j)} of pair {(pos_i, pos_j)} was "
+                        "forbidden but is feasible"
+                    )
 
 
 class TestBulkInsertEquivalence:

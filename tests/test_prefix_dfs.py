@@ -47,7 +47,7 @@ def oracle_survivors(processor: WithinLeafProcessor, weight: int):
     margin = MIN_INTERIOR_RADIUS * norms
     allowed0 = row_min < b - margin
     allowed1 = row_max > b + margin
-    pairwise = processor._pairwise
+    pairwise = processor.pairwise_constraints
     survivors = []
     for ones in combinations(range(m), weight):
         bits = processor._bits_for(ones)
@@ -79,7 +79,7 @@ class TestDfsGeneration:
         processor = WithinLeafProcessor(lower, upper, halfspaces,
                                         use_pairwise=use_pairwise,
                                         pairwise_min_size=2)
-        assert (processor._pairwise is None) == (not use_pairwise)
+        assert (processor.pairwise_constraints is None) == (not use_pairwise)
         for weight in range(count + 1):
             emitted = [ones for chunk in processor._dfs_chunks(weight) for ones in chunk]
             assert emitted == oracle_survivors(processor, weight)
@@ -121,14 +121,15 @@ class TestConflictMasks:
         lower = rng.uniform(0.0, 0.3, size=3)
         upper = lower + rng.uniform(0.2, 0.5, size=3)
         constraints = PairwiseConstraints.build(halfspaces, lower, upper)
-        one_masks, zero_masks = constraints.conflict_masks(count)
+        c00, c01, c10, c11 = constraints.conflict_masks()
+        one_masks, zero_masks = (c10, c11), (c00, c01)
         for _ in range(24):
             bits = tuple(int(v) for v in rng.integers(0, 2, size=count))
             ones_mask = zeros_mask = 0
             masked = False
             for pos, value in enumerate(bits):
-                if (ones_mask & one_masks[pos][value]) or (
-                    zeros_mask & zero_masks[pos][value]
+                if (ones_mask & one_masks[value][pos]) or (
+                    zeros_mask & zero_masks[value][pos]
                 ):
                     masked = True
                     break
@@ -150,7 +151,7 @@ class TestConflictMasks:
         prefix = PairwiseConstraints.build(halfspaces[:split], lower, upper)
         incremental = PairwiseConstraints.build(halfspaces, lower, upper, reuse=prefix)
         scratch = PairwiseConstraints.build(halfspaces, lower, upper)
-        assert incremental._forbidden == scratch._forbidden
+        assert incremental.conflict_masks() == scratch.conflict_masks()
 
     def test_reuse_rejected_on_id_mismatch(self):
         halfspaces = [(i, h) for i, h in enumerate(random_halfspaces(5, 3, 11))]
@@ -159,7 +160,7 @@ class TestConflictMasks:
         reordered = [halfspaces[1], halfspaces[0]] + halfspaces[2:]
         incremental = PairwiseConstraints.build(reordered, lower, upper, reuse=prefix)
         scratch = PairwiseConstraints.build(reordered, lower, upper)
-        assert incremental._forbidden == scratch._forbidden
+        assert incremental.conflict_masks() == scratch.conflict_masks()
 
 
 class TestFrontierReuse:
@@ -201,6 +202,28 @@ class TestFrontierReuse:
             assert {c.bits for c in seeded.cells_at_weight(weight)} == {
                 c.bits for c in fresh.cells_at_weight(weight)
             }
+
+    @given(seed=st.integers(0, 120), old=st.integers(2, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_frontier_grown_past_the_pairwise_minimum_emits_the_survivors(
+        self, seed, old
+    ):
+        """A frontier recorded without a pair analysis (the old partial set
+        was below ``pairwise_min_size``) is replayed against the new one's
+        verdicts: the seeded walk emits exactly the filter survivors (in
+        frontier order, not lexicographic)."""
+        halfspaces = [(i, h) for i, h in enumerate(random_halfspaces(9, 3, seed))]
+        lower, upper = [0.0] * 3, [0.5] * 3
+        previous = WithinLeafProcessor(lower, upper, halfspaces[:old],
+                                       pairwise_min_size=6, track_frontier=True)
+        previous.minimal_cells(extra=old)
+        assert previous.reuse_state().pairwise is None
+        seeded = WithinLeafProcessor(lower, upper, halfspaces, pairwise_min_size=6,
+                                     seed_state=previous.reuse_state())
+        for weight in range(old + 1):
+            emitted = [ones for chunk in seeded._candidate_chunks(weight)
+                       for ones in chunk]
+            assert sorted(emitted) == oracle_survivors(seeded, weight)
 
     def test_minimal_cells_unchanged_by_seeding(self):
         halfspaces = [(i, h) for i, h in enumerate(random_halfspaces(8, 4, 5))]
