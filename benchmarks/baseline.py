@@ -19,8 +19,8 @@ family        workload (asserted before recording)      gated beyond the shared 
 ``fig*``      AA query batches from the paper's         calibrated ``wall_s``
               Figure 8, 9 and 10 sweeps
 ``build/``    one cost-policy query batch and two       ``halfspaces_inserted``,
-              cold ``insert_bulk`` builds (``n`` = 4k,  ``nodes_created``,
-              50k)                                      ``splits_performed`` exactly;
+              cold single queries at large ``n``        ``nodes_created``,
+              (4k, 25k) with the depth capped at 5      ``splits_performed`` exactly;
                                                         calibrated ``wall_s``
 ``service/``  16 queries (8 focals twice), cold         ``cache_hits``, ``skyline_reused``
               through ``maxrank()`` and warm through    (serial runs) at least as
@@ -87,16 +87,12 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.accessor import DataAccessor            # noqa: E402
 from repro.core.maxrank import maxrank                  # noqa: E402
 from repro.data.generators import generate              # noqa: E402
-from repro.engine.executors import make_executor        # noqa: E402
 from repro.experiments.harness import run_batch, select_focal_records  # noqa: E402
 from repro.experiments.reporting import format_table, screen_funnel  # noqa: E402
-from repro.geometry.halfspace import halfspace_for_record  # noqa: E402
 from repro.geometry.seidel import solve_lp              # noqa: E402
 from repro.index.rstar import RStarTree                 # noqa: E402
-from repro.quadtree.quadtree import AugmentedQuadTree   # noqa: E402
 from repro.service.core import MaxRankService, result_fingerprint  # noqa: E402
 from repro.stats import CostCounters                    # noqa: E402
 
@@ -135,7 +131,6 @@ RECORDED_COUNTERS = (
     "halfspaces_inserted",
     "nodes_created",
     "splits_performed",
-    "build_tasks",
 )
 
 #: Work counters whose regression fails a --compare run.  They are
@@ -169,9 +164,8 @@ class Config:
     """One frozen benchmark configuration.
 
     ``queries`` is the number of seeded focal records asked: per batch for
-    ``fig*``/``obs/``, distinct focals for ``service/``/``update/`` and
-    per shard for ``serve/``.  A ``build/`` configuration with
-    ``queries=0`` times the cold quad-tree build alone.  The remaining
+    ``fig*``/``build/``/``obs/``, distinct focals for
+    ``service/``/``update/`` and per shard for ``serve/``.  The remaining
     fields belong to one family each.
     """
 
@@ -183,7 +177,7 @@ class Config:
     tau: int = 0
     quick: bool = False
     split_policy: str = "static"            # build/
-    max_depth: Optional[int] = None         # build/ (cold builds)
+    max_depth: Optional[int] = None         # build/
     batch: int = 16                         # service/: queries in the batch
     ops: int = 30                           # update/: operations, every fifth a mutation
     clients: int = 8                        # serve/
@@ -269,7 +263,13 @@ def summed(dumps: Iterable[Mapping[str, float]]) -> Dict[str, float]:
 
 
 def measure_queries(config: Config, jobs: Optional[int]) -> Measurement:
-    """``fig*``: one AA batch over a prebuilt R*-tree; ``wall_s`` times it."""
+    """``fig*``/``build/``: one AA batch over a prebuilt R*-tree; ``wall_s``
+    times it.
+
+    ``max_depth`` must be explicit on the large-``n`` ``build/`` queries:
+    the dim-aware default depth is sized for the paper's small-``n``
+    panels.
+    """
     dataset = generate(config.distribution, config.n, config.d, seed=0)
     tree = RStarTree.build(dataset.records)
     start = time.perf_counter()
@@ -283,52 +283,12 @@ def measure_queries(config: Config, jobs: Optional[int]) -> Measurement:
         label=config.key,
         jobs=jobs,
         split_policy=config.split_policy,
+        max_depth=config.max_depth,
     )
     wall = time.perf_counter() - start
     counters = summed(m.counters for m in batch.measurements)
     return batch.measurements, counters, {
         "wall_s": round(wall, 4), "io": batch.mean_io,
-    }
-
-
-def measure_build(config: Config, jobs: Optional[int]) -> Measurement:
-    """``build/``: a query batch under ``split_policy``, or (``queries=0``)
-    the cold-build prefix of BA/AA — incomparable scan, half-space
-    derivation, ``insert_bulk`` — with ``wall_s`` timing ``insert_bulk``
-    alone, the split cascade ``--jobs`` parallelises.
-
-    ``max_depth`` must be explicit on the large-``n`` cold builds: the
-    dim-aware default depth is sized for the paper's small-``n`` panels
-    and saturates toward millions of nodes at ``n = 50k``.
-    """
-    if config.queries:
-        return measure_queries(config, jobs)
-    counters = CostCounters()
-    dataset = generate(config.distribution, config.n, config.d, seed=0)
-    tree = RStarTree.build(dataset.records)
-    focal = int(select_focal_records(dataset, 1, seed=0)[0])
-    accessor = DataAccessor(dataset, focal, tree=tree, counters=counters)
-    halfspaces = [
-        halfspace_for_record(point, accessor.focal, record_id=record_id)
-        for record_id, point in accessor.scan_incomparable()
-    ]
-    quadtree = AugmentedQuadTree(
-        config.d - 1,
-        max_depth=config.max_depth,
-        split_policy=config.split_policy,
-        counters=counters,
-    )
-    executor = make_executor(jobs) if jobs else None
-    try:
-        start = time.perf_counter()
-        quadtree.insert_bulk(halfspaces, executor=executor)
-        wall = time.perf_counter() - start
-    finally:
-        if executor is not None:
-            executor.close()
-    dump = counters.as_dict()
-    return [], dump, {
-        "wall_s": round(wall, 4), "io": float(dump.get("page_reads", 0)),
     }
 
 
@@ -663,22 +623,23 @@ FAMILIES: Tuple[Family, ...] = (
         # regime where the planar sweep replaces the C(m, w) enumeration.
         Config("fig10/d=3/tau=3", "IND", 400, 3, queries=2, tau=3),
     )),
-    # The split cascade is deterministic and, by the parallel-identity
-    # contract, invariant under --jobs, so the construction volume is gated
-    # exactly.  ``build_tasks`` is not: it counts subtree units shipped to
-    # workers (0 when serial).
-    Family("build", measure_build, (
+    # Leaves split on demand, in the query's own process, so the
+    # construction volume is deterministic and invariant under --jobs: it is
+    # gated exactly.
+    Family("build", measure_queries, (
         # The small-n d = 4 shape the cost policy must recover (the static
         # numbers live in quick/fig9/d=4).
         Config("build/quick/fig9/d=4/cost", "IND", 150, 4, quick=True,
                split_policy="cost"),
-        # Cold construction at scale, depth capped at 5 (a full 8-ary
-        # depth-5 tree is at most 37k nodes), long enough to parallelise.
-        Config("build/cold/d=4/n=4000", "IND", 4000, 4, queries=0, max_depth=5,
-               quick=True),
-        Config("build/cold/d=4/n=50000", "IND", 50000, 4, queries=0, max_depth=5),
+        # One cold query at scale, depth capped at 5 (a full 8-ary depth-5
+        # tree is at most 37k nodes): the exact gates pin how much of the
+        # tree the scan splits on demand at large n.  (The seeded focal of
+        # n = 30000 to 50000 takes minutes; n = 25000 takes a third of a
+        # second.)
+        Config("build/cold/d=4/n=4000", "IND", 4000, 4, max_depth=5, quick=True),
+        Config("build/cold/d=4/n=25000", "IND", 25000, 4, max_depth=5),
     ), exact=("halfspaces_inserted", "nodes_created", "splits_performed"),
-       report=("nodes_created", "splits_performed", "build_tasks")),
+       report=("nodes_created", "splits_performed")),
     # Seeded plans, single-flight and the result cache make computation
     # exactly-once per unique key regardless of thread scheduling.  How the
     # other requests split into cache hits and coalesced waits follows

@@ -184,18 +184,10 @@ def aa_maxrank(
         )
 
     def flush_staged() -> None:
-        """Bulk-insert every staged half-space with one tree descent.
-
-        The executor is threaded through so the *initial* flush — a cold
-        build — can fan the split cascade out to the pool; later
-        (incremental) flushes fail the tree's cold-build gate and stay
-        serial automatically.
-        """
+        """Bulk-insert every staged half-space with one tree descent."""
         if not staged:
             return
-        ids = quadtree.insert_bulk(
-            [halfspace for _, halfspace in staged], executor=executor
-        )
+        ids = quadtree.insert_bulk([halfspace for _, halfspace in staged])
         for (record_id, _), hid in zip(staged, ids):
             record_to_hid[record_id] = hid
             augmented_ids.add(hid)

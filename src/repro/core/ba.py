@@ -143,8 +143,7 @@ def ba_maxrank(
             [
                 halfspace_for_record(point, accessor.focal, record_id=record_id)
                 for record_id, point in incomparable
-            ],
-            executor=executor,
+            ]
         )
 
     if len(quadtree) == 0:

@@ -354,26 +354,29 @@ def collect_cells(
             # No bucket or continuation can yield a cell any more, however
             # far best + tau reaches.
             break
-        work: List[Tuple[QuadTreeNode, Optional[_LeafScanState], int]] = []
-        for leaf in tree.validated_bucket(priority):
-            if id(leaf) not in entered:
-                entered.add(id(leaf))
-                work.append((leaf, None, 0))
-        work.extend(deferred.pop(priority, ()))
-
-        resolved: List[Tuple[QuadTreeNode, _LeafScanState, int]] = []
-        for leaf, state, weight in work:
-            if state is None:
-                state = state_for(leaf)
-                touched += 1
-            resolved.append((leaf, state, weight))
-
-        # One span per non-empty priority level; leaf-task spans parent
-        # under it through the task's TraceContext.
+        # One span per priority level with bucket entries or continuations;
+        # the on-demand leaf splits of validated_bucket and the leaf-task
+        # spans parent under it.
         level_handle = None
-        if tracer is not None and resolved:
+        if tracer is not None and (
+            priority in deferred or tree.has_bucket_entries(priority)
+        ):
             level_handle = tracer.begin("collect_level")
+        resolved: List[Tuple[QuadTreeNode, _LeafScanState, int]] = []
         try:
+            work: List[Tuple[QuadTreeNode, Optional[_LeafScanState], int]] = []
+            for leaf in tree.validated_bucket(priority):
+                if id(leaf) not in entered:
+                    entered.add(id(leaf))
+                    work.append((leaf, None, 0))
+            work.extend(deferred.pop(priority, ()))
+
+            for leaf, state, weight in work:
+                if state is None:
+                    state = state_for(leaf)
+                    touched += 1
+                resolved.append((leaf, state, weight))
+
             # Materialise every unresolved (leaf, weight) probe of this
             # priority level as a self-contained task; the batch runs on the
             # executor and the results merge back in task order.

@@ -162,12 +162,11 @@ def construction_summary(counters: Mapping[str, float]) -> Dict[str, float]:
 
     ``halfspaces_inserted`` / ``nodes_created`` / ``splits_performed``
         Construction volume — inputs, materialised nodes and split events
-        (both node counts are serial/parallel-invariant).
+        (the tree splits on demand, so the last two count only the leaves
+        the scan reached).
     ``nodes_per_halfspace``
         Tree blow-up factor; the quantity the cost-model split policy is
         designed to keep flat as dimensionality grows.
-    ``build_tasks``
-        Subtree units dispatched to worker processes (0 = serial build).
     ``build_wall_fraction``
         ``time_quadtree_build / (build + skyline + within_leaf)`` — the
         share of the tracked wall clock spent constructing the tree, 0.0
@@ -187,7 +186,6 @@ def construction_summary(counters: Mapping[str, float]) -> Dict[str, float]:
         "nodes_per_halfspace": (
             float(counters.get("nodes_created", 0)) / inserted if inserted else 0.0
         ),
-        "build_tasks": float(counters.get("build_tasks", 0)),
         "build_wall_fraction": build / tracked if tracked > 0.0 else 0.0,
     }
 

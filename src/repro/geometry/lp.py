@@ -124,8 +124,7 @@ def find_interior_point_arrays(
     if A.shape[0] == 0:
         return FeasibilityResult(True, centre, box_radius)
 
-    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
-    norms = np.where(norms > 0, norms, 1.0)
+    norms = _safe_norms(A)
 
     # Quick reject: some half-space cannot be satisfied anywhere in the box.
     max_vals = np.where(A > 0, A * upper, A * lower).sum(axis=1)
@@ -222,6 +221,12 @@ def box_row_extremes(
     return row_min, row_max
 
 
+def _safe_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean row norms of ``A``, with zero norms replaced by 1."""
+    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+    return np.where(norms > 0, norms, 1.0)
+
+
 def screen_cells_batch(
     A: np.ndarray,
     b: np.ndarray,
@@ -234,6 +239,10 @@ def screen_cells_batch(
     probes: Optional[np.ndarray] = None,
     probe_margins: Optional[np.ndarray] = None,
     probe_valid: Optional[np.ndarray] = None,
+    norms: Optional[np.ndarray] = None,
+    row_extremes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    base_norms: Optional[np.ndarray] = None,
+    base_extremes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     min_radius: float = MIN_INTERIOR_RADIUS,
     counters=None,
 ) -> Tuple[np.ndarray, list]:
@@ -267,6 +276,12 @@ def screen_cells_batch(
     ``ACCEPT_MARGIN_FACTOR`` times the LP's feasibility radius, the screens
     agree with the solver on every cell they resolve.
 
+    A caller screening many batches over the same rows and box passes the
+    row inputs once computed: ``norms`` / ``base_norms`` (row norms with
+    zeros replaced by 1) and ``row_extremes`` / ``base_extremes`` (the
+    :func:`box_row_extremes` of ``A`` / ``base_A`` over this box).  Omitted
+    ones are computed here, identically.
+
     Returns
     -------
     (status, witnesses)
@@ -289,9 +304,9 @@ def screen_cells_batch(
 
     # ---- reject screen: some row unsatisfiable anywhere in the box --------
     if base_A is not None and base_A.shape[0]:
-        base_norms = np.sqrt(np.einsum("ij,ij->i", base_A, base_A))
-        base_norms = np.where(base_norms > 0, base_norms, 1.0)
-        _, base_max = box_row_extremes(base_A, lower, upper)
+        if base_norms is None:
+            base_norms = _safe_norms(base_A)
+        _, base_max = base_extremes or box_row_extremes(base_A, lower, upper)
         if np.any(base_max <= base_b + min_radius * base_norms):
             status[:] = -1
             if counters is not None:
@@ -300,9 +315,9 @@ def screen_cells_batch(
 
     m = A.shape[0]
     if m:
-        norms = np.sqrt(np.einsum("ij,ij->i", A, A))
-        norms = np.where(norms > 0, norms, 1.0)
-        row_min, row_max = box_row_extremes(A, lower, upper)
+        if norms is None:
+            norms = _safe_norms(A)
+        row_min, row_max = row_extremes or box_row_extremes(A, lower, upper)
         # max of signs[c,i]·(A_i·x) over the box is row_max or -row_min.
         oriented_max = np.where(signs > 0, row_max[None, :], -row_min[None, :])
         rejected = np.any(

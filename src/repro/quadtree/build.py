@@ -1,53 +1,27 @@
-"""Parallel quad-tree construction tasks and the cost-model split policy.
+"""The cost-model split policy of the augmented quad-tree.
 
-Two construction-time concerns of :class:`repro.quadtree.quadtree.AugmentedQuadTree`
-live here because both must run *outside* the tree object:
+:class:`repro.quadtree.quadtree.AugmentedQuadTree` splits a leaf on demand,
+when the best-first scan reaches its priority.  Whether it splits is the
+split policy's call:
 
-* :class:`SubtreeBuildTask` — a picklable, self-contained unit of tree
-  construction: one frontier leaf's box, its pending half-space rows
-  (coefficients and tolerance-shifted offsets sliced from the tree's
-  coefficient matrix) and the split policy.  ``run()`` executes the full
-  split cascade below that leaf in a worker process and returns a
-  :class:`SubtreeBuildResult` of flat arrays — no tree objects cross the
-  process boundary.  The tasks ride the generic whole-task path of the
-  execution engine (:func:`repro.engine.tasks.execute_task` dispatches any
-  task with a ``run()`` method), so the same ``SerialExecutor`` /
-  ``ProcessPoolExecutor`` that schedules within-leaf probes schedules
-  subtree builds.
+* ``"static"`` splits a leaf whose partial set exceeds a static ``~5·dim``
+  threshold;
+* ``"cost"`` dry-runs the child classification (the same two matrix
+  products the split itself would perform) and splits only when the
+  modelled within-leaf funnel work of the fat leaf exceeds the modelled
+  cost of the split plus the (pruning-discounted) work of the children.
 
-* the **cost-model split policy** (``split_policy="cost"``) — instead of
-  splitting a leaf whenever its partial set exceeds a static ``~5·dim``
-  threshold, dry-run the child classification (the same two matrix products
-  the split itself would perform) and split only when the modelled
-  within-leaf funnel work of the fat leaf exceeds the modelled cost of the
-  split cascade plus the (pruning-discounted) work of the children.  The
-  decision depends only on the leaf box and the pending rows' coefficients,
-  so the serial cascade and the worker-side cascade reach bit-identical
-  decisions and the built trees are node-for-node identical.
-
-Determinism contract: every quantity computed here (child boxes, corner
-extremes, classifications, cost decisions) uses exactly the arithmetic of
-the serial split cascade on exactly the same float values, so a parallel
-build reproduces the serial tree node for node; only the creation *order*
-differs, and :meth:`AugmentedQuadTree._renumber_and_refile` restores the
-serial numbering afterwards.
+The cost decision depends only on the leaf box and its partial rows'
+coefficients, so it is the same whenever the scan asks.  Since splitting
+is on demand, either policy prices only the leaves the scan reaches.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
 import numpy as np
-
-from ..obs.trace import TraceContext, worker_span
 
 __all__ = [
     "SPLIT_POLICIES",
-    "SubtreeBuildTask",
-    "SubtreeBuildResult",
-    "build_subtree",
     "corner_masks",
     "leaf_work",
     "cost_should_split",
@@ -132,207 +106,3 @@ def cost_should_split(
         sum(leaf_work(int(count)) for count in overlap_counts)
     )
     return leaf_work(m) > split_cost
-
-
-@dataclass
-class SubtreeBuildTask:
-    """One frontier leaf's independent split cascade, shipped to a worker.
-
-    ``pending_ids`` are the leaf's partial half-space ids in insertion
-    order; ``coefficients`` / ``offsets_tol`` are the matching rows of the
-    tree's coefficient matrix (offsets already tolerance-shifted), so the
-    worker never needs the tree or the half-space objects.
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-    depth: int
-    pending_ids: np.ndarray
-    coefficients: np.ndarray
-    offsets_tol: np.ndarray
-    split_threshold: int
-    max_depth: int
-    split_policy: str
-    #: optional tracing: parent context plus this task's deterministic
-    #: span-id suffix (frontier position, not completion order)
-    trace: Optional[TraceContext] = None
-    trace_tag: str = ""
-
-    def run(self) -> "SubtreeBuildResult":
-        """Execute the cascade (executor whole-task entry point)."""
-        if self.trace is None:
-            return build_subtree(self)
-        start = time.perf_counter()
-        result = build_subtree(self)
-        result.span = worker_span(
-            self.trace,
-            self.trace_tag,
-            "subtree_build",
-            start,
-            time.perf_counter(),
-            meta={"nodes": result.nodes_created},
-        )
-        return result
-
-
-@dataclass
-class SubtreeBuildResult:
-    """Flat-array description of one built subtree (cheap to pickle).
-
-    ``events`` replays the cascade: each row ``(parent, start, count)``
-    creates ``count`` children (local node indices ``start .. start+count``)
-    under local parent index ``parent`` (``-1`` is the task's own leaf).
-    Containment / partial id lists are concatenated per node with CSR-style
-    offset arrays; the ids are the tree's original half-space ids.
-    """
-
-    nodes_created: int
-    splits_performed: int
-    lowers: np.ndarray
-    uppers: np.ndarray
-    events: np.ndarray
-    containment_flat: np.ndarray
-    containment_offsets: np.ndarray
-    partial_flat: np.ndarray
-    partial_offsets: np.ndarray
-    #: span recorded by a traced build (rides the result like the counters)
-    span: Optional[object] = None
-
-
-def _should_split(
-    policy: str,
-    threshold: int,
-    max_depth: int,
-    m: int,
-    depth: int,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    rows: np.ndarray,
-    Apos: np.ndarray,
-    Aneg: np.ndarray,
-    btol: np.ndarray,
-    masks: np.ndarray,
-) -> bool:
-    """Worker-side split decision, identical to the tree's serial one."""
-    if depth >= max_depth:
-        return False
-    if policy == "static":
-        return m > threshold
-    if m <= COST_EVAL_FLOOR:
-        return False
-    return cost_should_split(
-        lower, upper, Apos[rows], Aneg[rows], btol[rows], masks
-    )
-
-
-def build_subtree(task: SubtreeBuildTask) -> SubtreeBuildResult:
-    """Run one frontier leaf's full split cascade and flatten the subtree.
-
-    The cascade mirrors ``AugmentedQuadTree._split_one`` exactly — same
-    child-box derivation, same corner-extreme classification, same LIFO
-    processing order, same split decisions — but works on task-local row
-    indices and emits flat arrays instead of node objects.
-    """
-    A = np.asarray(task.coefficients, dtype=float)
-    Apos = np.where(A > 0, A, 0.0)
-    Aneg = A - Apos
-    btol = np.asarray(task.offsets_tol, dtype=float)
-    ids = np.asarray(task.pending_ids, dtype=np.intp)
-    dim = int(A.shape[1])
-    masks = corner_masks(dim)
-    threshold = int(task.split_threshold)
-    max_depth = int(task.max_depth)
-    policy = task.split_policy
-
-    lowers: List[np.ndarray] = []
-    uppers: List[np.ndarray] = []
-    cont: List[np.ndarray] = []
-    part: List[np.ndarray] = []
-    events: List[Tuple[int, int, int]] = []
-    empty = np.empty(0, dtype=np.intp)
-
-    # (parent local index, lower, upper, depth, local row indices)
-    stack: List[Tuple[int, np.ndarray, np.ndarray, int, np.ndarray]] = [
-        (
-            -1,
-            np.asarray(task.lower, dtype=float),
-            np.asarray(task.upper, dtype=float),
-            int(task.depth),
-            np.arange(ids.shape[0], dtype=np.intp),
-        )
-    ]
-    while stack:
-        parent_idx, lo, up, depth, rows = stack.pop()
-        centre = (lo + up) / 2.0
-        child_lowers = np.where(masks, centre, lo)
-        child_uppers = np.where(masks, up, centre)
-        inside_idx = np.nonzero(child_lowers.sum(axis=1) < 1.0)[0]
-        child_lowers = child_lowers[inside_idx]
-        child_uppers = child_uppers[inside_idx]
-        k = int(child_lowers.shape[0])
-        start = len(lowers)
-        events.append((parent_idx, start, k))
-        if k == 0:
-            continue
-        child_depth = depth + 1
-        Rp = Apos[rows]
-        Rn = Aneg[rows]
-        b_rows = btol[rows][:, None]
-        min_vals = Rp @ child_lowers.T + Rn @ child_uppers.T
-        max_vals = Rp @ child_uppers.T + Rn @ child_lowers.T
-        contains = min_vals > b_rows
-        disjoint = max_vals <= b_rows
-        overlaps = ~(contains | disjoint)
-        child_idx, row_idx = np.nonzero(contains.T)
-        contained_rows = rows[row_idx]
-        c_counts = np.bincount(child_idx, minlength=k)
-        child_idx, row_idx = np.nonzero(overlaps.T)
-        overlap_rows = rows[row_idx]
-        o_counts = np.bincount(child_idx, minlength=k)
-        c_off = o_off = 0
-        for j in range(k):
-            lowers.append(child_lowers[j])
-            uppers.append(child_uppers[j])
-            c_end = c_off + int(c_counts[j])
-            cont.append(contained_rows[c_off:c_end])
-            c_off = c_end
-            o_end = o_off + int(o_counts[j])
-            child_rows = overlap_rows[o_off:o_end]
-            o_off = o_end
-            if _should_split(
-                policy, threshold, max_depth, child_rows.shape[0], child_depth,
-                child_lowers[j], child_uppers[j], child_rows,
-                Apos, Aneg, btol, masks,
-            ):
-                part.append(empty)
-                stack.append(
-                    (start + j, child_lowers[j], child_uppers[j], child_depth, child_rows)
-                )
-            else:
-                part.append(child_rows)
-
-    n = len(lowers)
-    if n:
-        node_lowers = np.vstack(lowers)
-        node_uppers = np.vstack(uppers)
-    else:  # pragma: no cover - the task root always produces children
-        node_lowers = np.zeros((0, dim))
-        node_uppers = np.zeros((0, dim))
-    cont_offsets = np.zeros(n + 1, dtype=np.intp)
-    part_offsets = np.zeros(n + 1, dtype=np.intp)
-    if n:
-        np.cumsum([len(c) for c in cont], out=cont_offsets[1:])
-        np.cumsum([len(p) for p in part], out=part_offsets[1:])
-    cont_flat = ids[np.concatenate(cont)] if n and cont_offsets[-1] else empty
-    part_flat = ids[np.concatenate(part)] if n and part_offsets[-1] else empty
-    return SubtreeBuildResult(
-        nodes_created=n,
-        splits_performed=len(events),
-        lowers=node_lowers,
-        uppers=node_uppers,
-        events=np.asarray(events, dtype=np.intp).reshape(len(events), 3),
-        containment_flat=cont_flat,
-        containment_offsets=cont_offsets,
-        partial_flat=part_flat,
-        partial_offsets=part_offsets,
-    )

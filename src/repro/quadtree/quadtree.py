@@ -18,16 +18,30 @@ Two sets are derived per leaf ``l``:
 Nodes that lie entirely outside the permissible simplex
 (``Σ q_i < 1``) are discarded, as prescribed by the paper.
 
+Splitting on demand
+-------------------
+A leaf whose ``|F_l|`` exceeds the best cell order found so far is pruned,
+so its subtree would never be read.  The tree therefore splits lazily:
+:meth:`AugmentedQuadTree.insert_bulk` and :meth:`AugmentedQuadTree.insert`
+only classify half-spaces (a leaf absorbs its partial rows and never splits
+on insert), and :meth:`AugmentedQuadTree.validated_bucket` splits the
+over-policy leaves of a priority when the best-first scan reaches it.
+Because a leaf's partial set depends only on its box, not on the order in
+which half-spaces arrived, every leaf the scan is handed has the same box,
+the same partial ids in the same order and the same ``|F_l|`` as under an
+eager split-on-insert cascade; only the subtrees the scan never reaches are
+left unsplit.  :meth:`~AugmentedQuadTree.leaves`,
+:meth:`~AugmentedQuadTree.leaf_count`, :meth:`~AugmentedQuadTree.statistics`
+and the ``leaves_pruned`` counter describe this lazily split tree.
+
 Performance notes
 -----------------
-The tree is the dominant cost of a MaxRank query at ``d ≥ 4`` (hundreds of
-thousands of nodes for a few hundred half-spaces), so the hot paths are
-array-level:
+The hot paths are array-level:
 
-* splitting a leaf classifies **all** pending half-spaces against **all**
-  children with two matrix products (the corner extremes of a linear
-  function over a box decompose into a positive-part and a negative-part
-  product);
+* splitting a leaf classifies **all** its partial half-spaces against
+  **all** children with two matrix products (the corner extremes of a
+  linear function over a box decompose into a positive-part and a
+  negative-part product);
 * inserting a half-space classifies it against all children of a node at
   once instead of one scalar test per child;
 * the tree maintains an incremental *scan index* — leaves bucketed by their
@@ -39,7 +53,8 @@ array-level:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from contextlib import nullcontext
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -50,37 +65,21 @@ from .build import (
     CLASSIFY_TOL as _CLASSIFY_TOL,
     COST_EVAL_FLOOR,
     SPLIT_POLICIES,
-    SubtreeBuildResult,
-    SubtreeBuildTask,
+    corner_masks,
     cost_should_split,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only (avoids an engine import cycle)
-    from ..engine.executors import LeafTaskExecutor
 
 __all__ = [
     "QuadTreeNode",
     "AugmentedQuadTree",
     "DEFAULT_SPLIT_THRESHOLD",
     "DEFAULT_MAX_DEPTH",
-    "PARALLEL_MIN_ROWS",
 ]
 
 #: A leaf splits when its partial-overlap set grows beyond this many half-spaces.
 DEFAULT_SPLIT_THRESHOLD = 10
 #: Hard depth cap: at this depth leaves absorb overflow instead of splitting.
 DEFAULT_MAX_DEPTH = 8
-
-#: A bulk insert only fans construction out to an executor when at least
-#: this many half-spaces overlap the root — below that the task/merge
-#: overhead exceeds the whole serial cascade.  Instance attribute
-#: ``parallel_min_rows`` (initialised from this) lets tests lower the gate.
-PARALLEL_MIN_ROWS = 256
-
-#: Frontier expansion depth of a parallel build: at most this many split
-#: levels are performed in-process before the remaining over-threshold
-#: leaves are shipped as subtree tasks.
-_FANOUT_LEVELS = 3
 
 
 class QuadTreeNode:
@@ -192,9 +191,12 @@ class AugmentedQuadTree:
         :func:`repro.quadtree.build.cost_should_split`).  Both policies
         produce the same ``k*`` and covered regions — only the leaf
         fragmentation (and hence construction/enumeration cost) differs.
+        Either policy is consulted only for leaves the scan reaches (see
+        :meth:`validated_bucket`).
     counters:
-        Optional cost counters (half-space insertions, nodes created,
-        splits performed and parallel build tasks are recorded).
+        Optional cost counters (half-space insertions, nodes created and
+        splits performed are recorded; splits run under the
+        ``quadtree_build`` timer).
     """
 
     def __init__(
@@ -261,7 +263,6 @@ class AugmentedQuadTree:
         self.split_threshold = int(split_threshold)
         self.max_depth = int(max_depth)
         self.split_policy = split_policy
-        self.parallel_min_rows = PARALLEL_MIN_ROWS
         self.counters = counters
         self._node_seq = 0
         self.root = QuadTreeNode(np.zeros(dim), np.ones(dim), depth=0, parent=None, seq=0)
@@ -269,12 +270,9 @@ class AugmentedQuadTree:
         self.halfspaces: Dict[int, Halfspace] = {}
         self._next_id = 0
         #: Corner selection masks used to derive the 2^dim children of a box.
-        corners = np.arange(2 ** self.dim)
-        self._corner_masks = (
-            (corners[:, None] >> np.arange(self.dim)[None, :]) & 1
-        ).astype(bool)
+        self._corner_masks = corner_masks(self.dim)
         # Growing coefficient matrix over all inserted half-spaces; rebuilt
-        # lazily so splits can slice the rows of their pending ids at once.
+        # lazily so splits can slice the rows of their partial ids at once.
         self._coef_rows: List[np.ndarray] = []
         self._offsets: List[float] = []
         self._matrix: Optional[np.ndarray] = None
@@ -368,11 +366,6 @@ class AugmentedQuadTree:
         return values[row_idx], np.bincount(child_idx, minlength=relation.shape[1])
 
     @staticmethod
-    def _outside_simplex(node: "QuadTreeNode") -> bool:
-        """True when the node's box lies entirely outside ``Σ q_i < 1``."""
-        return float(node.lower.sum()) >= 1.0
-
-    @staticmethod
     def _classify(halfspace: Halfspace, node: "QuadTreeNode", tol: float = _CLASSIFY_TOL) -> BoxRelation:
         """Classify one half-space against one node box (corner extremes)."""
         a = halfspace.coefficients
@@ -398,8 +391,12 @@ class AugmentedQuadTree:
         """Largest priority that currently has a (possibly stale) bucket entry."""
         return len(self._buckets) - 1
 
+    def has_bucket_entries(self, priority: int) -> bool:
+        """True when bucket ``priority`` holds (possibly stale) entries."""
+        return priority < len(self._buckets) and bool(self._buckets[priority])
+
     def validated_bucket(self, priority: int) -> List[QuadTreeNode]:
-        """Leaves whose current ``|F_l|`` equals ``priority``, lazily compacted.
+        """Leaves whose current ``|F_l|`` equals ``priority``, split on demand.
 
         Entries are re-validated on access: nodes that were split are
         dropped, leaves whose ``|F_l|`` has grown (an ancestor gained a
@@ -407,23 +404,52 @@ class AugmentedQuadTree:
         will be seen again when the scan reaches it.  ``|F_l|`` never
         shrinks, so a leaf is never filed below a priority that was already
         handed out.
+
+        A leaf of this priority that the split policy wants split is split
+        here, one level at a time: its children are filed at ``priority +
+        |containment|``, and the bucket is re-validated until no leaf of
+        ``priority`` is left to split.  These splits run under one
+        ``quadtree_build`` timer per call.  They mark nothing dirty: a split
+        leaf that a scan cache holds gained partial rows since it was
+        cached, so the insert already reported it, and the children are
+        new — reporting them would evict the state this very scan builds.
         """
-        if priority >= len(self._buckets):
+        if not self.has_bucket_entries(priority):
             return []
+        valid, to_split = self._triage_bucket(priority)
+        if to_split:
+            counters = self.counters
+            with counters.timer("quadtree_build") if counters is not None else nullcontext():
+                while to_split:
+                    for node in to_split:
+                        self._split_one(node, priority)
+                    more_valid, to_split = self._triage_bucket(priority)
+                    valid.extend(more_valid)
+        self._buckets[priority] = valid
+        return valid
+
+    def _triage_bucket(
+        self, priority: int
+    ) -> Tuple[List[QuadTreeNode], List[QuadTreeNode]]:
+        """Empty bucket ``priority`` into ``(leaves to keep, leaves to split)``.
+
+        Split nodes are dropped and leaves whose ``|F_l|`` grew are re-filed.
+        """
         entries = self._buckets[priority]
-        if not entries:
-            return []
+        self._buckets[priority] = []
         valid: List[QuadTreeNode] = []
+        to_split: List[QuadTreeNode] = []
         for node in entries:
             if node.children is not None:
                 continue
             current = node.full_count()
-            if current == priority:
-                valid.append(node)
-            else:
+            if current != priority:
                 self._file_leaf(node, current)
-        self._buckets[priority] = valid
-        return valid
+            elif self._should_split(node):
+                to_split.append(node)
+            else:
+                valid.append(node)
+        return valid, to_split
 
     # --------------------------------------------------------------- insertion
     def insert(self, halfspace: Halfspace) -> int:
@@ -443,29 +469,16 @@ class AugmentedQuadTree:
         self._insert_into(self.root, halfspace_id, halfspace)
         return halfspace_id
 
-    def insert_bulk(
-        self,
-        halfspaces: Sequence[Halfspace],
-        *,
-        executor: "LeafTaskExecutor | None" = None,
-    ) -> List[int]:
+    def insert_bulk(self, halfspaces: Sequence[Halfspace]) -> List[int]:
         """Insert several half-spaces with a single tree descent.
 
         Classifying a *batch* of half-spaces against every node's children
         amortises the per-node Python overhead over the whole batch (the
         corner-extreme classification is two matrix products either way).
         The resulting tree is identical to inserting the half-spaces one by
-        one: a node's partial/containment sets depend only on box geometry,
-        and a leaf splits exactly when its final partial set exceeds the
-        threshold — neither depends on arrival order.
-
-        When ``executor`` has worker processes (``jobs > 1``) and this is a
-        cold build (the root has never split), the descent is partitioned
-        into independent :class:`~repro.quadtree.build.SubtreeBuildTask`
-        units after a short frontier expansion and built by the workers;
-        the merged tree is node-for-node identical to the serial build
-        (same sequence numbers, same scan-index buckets — see
-        :meth:`_renumber_and_refile`).
+        one: a node's partial/containment sets depend only on box geometry.
+        Leaves absorb their partial rows and never split here; the scan
+        splits them on demand (:meth:`validated_bucket`).
         """
         halfspaces = list(halfspaces)
         for halfspace in halfspaces:
@@ -502,16 +515,6 @@ class AugmentedQuadTree:
         overlap_idx = np.nonzero(~(contains | disjoint))[0]
         if overlap_idx.size == 0:
             return ids
-        if (
-            executor is not None
-            and executor.jobs > 1
-            and root.children is None
-            and not self._track_dirty
-            and overlap_idx.size >= self.parallel_min_rows
-            and self.max_depth > 0
-        ):
-            self._insert_bulk_parallel(executor, id_arr[overlap_idx])
-            return ids
         stack: List[Tuple[QuadTreeNode, np.ndarray]] = [(root, overlap_idx)]
         while stack:
             current, rows = stack.pop()
@@ -519,8 +522,6 @@ class AugmentedQuadTree:
                 current.partial.extend(id_arr[rows].tolist())
                 if self._track_dirty:
                     self._dirty_leaves.add(id(current))
-                if self._should_split(current):
-                    self._split(current)
                 continue
             children = current.children
             if not children:
@@ -549,148 +550,6 @@ class AugmentedQuadTree:
                     stack.append((child, sub_rows[o_off:o_end]))
                 o_off = o_end
         return ids
-
-    # ------------------------------------------------- parallel construction
-    def _insert_bulk_parallel(
-        self, executor: "LeafTaskExecutor", overlap_ids: np.ndarray
-    ) -> None:
-        """Cold-build the tree below the root through the execution engine.
-
-        The root's overlapping half-spaces are absorbed, a short in-process
-        frontier expansion (at most :data:`_FANOUT_LEVELS` split levels)
-        produces enough independent over-policy leaves to feed the pool, and
-        each remaining frontier leaf's full cascade ships as one
-        :class:`~repro.quadtree.build.SubtreeBuildTask`.  Split decisions are
-        pure functions of box + pending rows, so workers grow exactly the
-        subtrees the serial cascade would; :meth:`_renumber_and_refile` then
-        replays the serial cascade order over the finished structure, making
-        the parallel build node-for-node identical to the serial one —
-        sequence numbers, ``|F_l|`` priorities and scan-index buckets
-        included.
-        """
-        root = self.root
-        root.partial.extend(overlap_ids.tolist())
-        if not self._should_split(root):
-            return
-        target = max(8, 4 * executor.jobs)
-        frontier: List[Tuple[QuadTreeNode, int]] = [(root, root.full_count())]
-        levels = 0
-        while frontier and len(frontier) < target and levels < _FANOUT_LEVELS:
-            next_frontier: List[Tuple[QuadTreeNode, int]] = []
-            for node, priority in frontier:
-                self._split_one(node, priority, next_frontier)
-            frontier = next_frontier
-            levels += 1
-        counters = self.counters
-        if frontier:
-            matrix, _ = self._coef_arrays()
-            btol = self._offset_tol
-            # Tracing: worker cascades span under the enclosing
-            # quadtree_build span; ids derive from frontier position, so
-            # the merged tree is schedule-independent.
-            tracer = counters._tracer if counters is not None else None
-            build_trace = tracer.context() if tracer is not None else None
-            tasks: List[SubtreeBuildTask] = []
-            task_nodes: List[QuadTreeNode] = []
-            for index, (node, _priority) in enumerate(frontier):
-                rows = np.asarray(node.partial, dtype=np.intp)
-                tasks.append(
-                    SubtreeBuildTask(
-                        lower=node.lower.copy(),
-                        upper=node.upper.copy(),
-                        depth=node.depth,
-                        pending_ids=rows,
-                        coefficients=matrix[rows],
-                        offsets_tol=btol[rows],
-                        split_threshold=self.split_threshold,
-                        max_depth=self.max_depth,
-                        split_policy=self.split_policy,
-                        trace=build_trace,
-                        trace_tag=f"B{index}",
-                    )
-                )
-                task_nodes.append(node)
-            if counters is not None:
-                counters.build_tasks += len(tasks)
-            results = executor.run(tasks)
-            for node, result in zip(task_nodes, results):
-                self._attach_subtree(node, result)
-                if counters is not None:
-                    counters.nodes_created += result.nodes_created
-                    counters.splits_performed += result.splits_performed
-                    if result.span is not None:
-                        counters.record_span(result.span)
-        self._renumber_and_refile()
-
-    def _attach_subtree(self, node: QuadTreeNode, result: SubtreeBuildResult) -> None:
-        """Graft a worker-built subtree (flat arrays) below a frontier leaf."""
-        nodes: List[QuadTreeNode] = [node] * result.nodes_created
-        lowers = result.lowers
-        uppers = result.uppers
-        co = result.containment_offsets
-        po = result.partial_offsets
-        cont_ids = result.containment_flat.tolist()
-        part_ids = result.partial_flat.tolist()
-        for ev in result.events:
-            parent_idx = int(ev[0])
-            start = int(ev[1])
-            count = int(ev[2])
-            parent = node if parent_idx < 0 else nodes[parent_idx]
-            cl = lowers[start : start + count]
-            cu = uppers[start : start + count]
-            depth = parent.depth + 1
-            children: List[QuadTreeNode] = []
-            for j in range(count):
-                i = start + j
-                child = QuadTreeNode(cl[j], cu[j], depth, parent)
-                if co[i] < co[i + 1]:
-                    child.containment.extend(cont_ids[co[i] : co[i + 1]])
-                if po[i] < po[i + 1]:
-                    child.partial.extend(part_ids[po[i] : po[i + 1]])
-                nodes[i] = child
-                children.append(child)
-            parent.partial = []
-            parent.children = children
-            parent.children_lower = cl
-            parent.children_upper = cu
-
-    def _renumber_and_refile(self) -> None:
-        """Replay the serial cascade order over the finished tree structure.
-
-        A cold serial build has two properties this replay relies on: a
-        child ends up *internal* exactly when the cascade pushed it onto the
-        LIFO split stack, and a leaf's filed priority equals its final
-        ``|F_l|`` (redistribution is complete when the filing decision is
-        made).  Walking the finished structure with the same LIFO discipline
-        therefore reproduces the serial build's sequence numbers, its
-        ``_file_leaf`` call order (hence bucket contents *and* intra-bucket
-        order) and its live-leaf count — regardless of the order in which
-        frontier expansion and workers actually created the nodes.
-        """
-        root = self.root
-        self._buckets = [[root]]
-        if root.children is None:
-            self._node_seq = 1
-            self._live_leaves = 1
-            return
-        seq = 1
-        live = 0
-        stack: List[Tuple[QuadTreeNode, int]] = [(root, len(root.containment))]
-        while stack:
-            node, priority = stack.pop()
-            children = node.children
-            for child in children:
-                child.seq = seq
-                seq += 1
-            for child in children:
-                child_priority = priority + len(child.containment)
-                if child.children is not None:
-                    stack.append((child, child_priority))
-                else:
-                    self._file_leaf(child, child_priority)
-                    live += 1
-        self._node_seq = seq
-        self._live_leaves = live
 
     def replace(self, halfspace_id: int, halfspace: Halfspace) -> None:
         """Replace the half-space object stored under ``halfspace_id``.
@@ -725,8 +584,6 @@ class AugmentedQuadTree:
                 current.partial.append(halfspace_id)
                 if self._track_dirty:
                     self._dirty_leaves.add(id(current))
-                if self._should_split(current):
-                    self._split(current)
                 continue
             # Classify against every child at once: the extremes of a · x over
             # each child box decompose into positive/negative coefficient parts.
@@ -752,9 +609,8 @@ class AugmentedQuadTree:
         threshold, depth below the cap); ``"cost"`` additionally dry-runs
         the child classification and only splits when the modelled funnel
         work of the fat leaf exceeds the modelled split cost.  The decision
-        is a pure function of the leaf box and the pending rows, so worker
-        processes (:func:`repro.quadtree.build.build_subtree`) reach the
-        identical decision.
+        is a pure function of the leaf box and its partial rows, so it does
+        not depend on when the scan asks.
         """
         if node.depth >= self.max_depth:
             return False
@@ -774,36 +630,16 @@ class AugmentedQuadTree:
             self._corner_masks,
         )
 
-    def _split(self, node: QuadTreeNode) -> None:
-        """Split a leaf into ``2^dim`` children and redistribute its partial set.
+    def _split_one(self, current: QuadTreeNode, priority: int) -> None:
+        """Split leaf ``current`` (``|F_l| = priority``) one level.
 
-        The cascade is the dominant cost of building the tree at ``d ≥ 4``
-        (tens of thousands of splits per query), so the body is array-level
-        end to end: the corner extremes of all pending half-spaces over all
-        child boxes come from two matrix products, the per-child id lists
-        from one child-major ``nonzero`` gather per relation matrix (instead
-        of two boolean slices per child), and the ``|F_l|`` priorities are
-        carried incrementally through the cascade instead of walking the
-        ancestor chain per split.  The produced tree — node order, sequence
-        numbers, list contents and their order — is identical to the
-        straightforward per-child version it replaced.
-        """
-        pending_split: List[Tuple[QuadTreeNode, int]] = [(node, node.full_count())]
-        while pending_split:
-            current, parent_priority = pending_split.pop()
-            self._split_one(current, parent_priority, pending_split)
-
-    def _split_one(
-        self,
-        current: QuadTreeNode,
-        parent_priority: int,
-        overflow: List[Tuple[QuadTreeNode, int]],
-    ) -> None:
-        """Perform one split event; over-policy children go to ``overflow``.
-
-        Shared by the serial cascade (:meth:`_split`, where ``overflow`` is
-        the LIFO cascade stack) and the frontier expansion of a parallel
-        build (where ``overflow`` collects the next fan-out level).
+        The ``2^dim`` children inside the simplex are created, the partial
+        set is redistributed and every child is filed at ``priority +
+        |containment|``; whether a child splits further is decided when the
+        scan reaches its priority.  The body is array-level: the corner
+        extremes of all partial half-spaces over all child boxes come from
+        two matrix products, and the per-child id lists from one
+        child-major ``nonzero`` gather per relation matrix.
         """
         masks = self._corner_masks
         centre = (current.lower + current.upper) / 2.0
@@ -831,18 +667,13 @@ class AugmentedQuadTree:
         if counters is not None:
             counters.splits_performed += 1
             counters.nodes_created += len(children)
-        if self._track_dirty:
-            # Report the split leaf as dirty so scan caches evict its
-            # (now stale) within-leaf state; the node is internal from
-            # here on and will never re-enter a cache.
-            self._dirty_leaves.add(id(current))
         if not children:
             return
         if not pending:
             for child in children:
-                self._file_leaf(child, parent_priority)
+                self._file_leaf(child, priority)
             return
-        # Vectorised redistribution: corner extremes of every pending
+        # Vectorised redistribution: corner extremes of every partial
         # half-space over every child box via two matrix products each.
         Apos_all, Aneg_all, btol_all = self._coef_sign_split()
         pending_arr = np.asarray(pending, dtype=np.intp)
@@ -858,7 +689,6 @@ class AugmentedQuadTree:
         contained_ids = contained.tolist()
         overlap, o_counts = self._child_major_gather(overlaps, pending_arr)
         overlap_ids = overlap.tolist()
-        track = self._track_dirty
         c_off = o_off = 0
         for j, child in enumerate(children):
             c_end = c_off + int(c_counts[j])
@@ -868,17 +698,16 @@ class AugmentedQuadTree:
             o_end = o_off + int(o_counts[j])
             if o_end > o_off:
                 child.partial.extend(overlap_ids[o_off:o_end])
-                if track:
-                    self._dirty_leaves.add(id(child))
             o_off = o_end
-            if self._should_split(child):
-                overflow.append((child, parent_priority + len(child.containment)))
-            else:
-                self._file_leaf(child, parent_priority + len(child.containment))
+            self._file_leaf(child, priority + len(child.containment))
 
     # ----------------------------------------------------------------- queries
     def leaves(self) -> Iterator[QuadTreeNode]:
-        """Iterate over all leaves inside the permissible simplex."""
+        """Iterate over all leaves inside the permissible simplex.
+
+        The tree is split on demand, so these are the leaves of the tree as
+        the scans so far left it: a leaf no scan reached may still be fat.
+        """
         stack = [self.root]
         while stack:
             node = stack.pop()
@@ -888,7 +717,7 @@ class AugmentedQuadTree:
                 stack.extend(node.children)
 
     def leaf_count(self) -> int:
-        """Number of leaves (inside the simplex)."""
+        """Number of leaves (inside the simplex) of the lazily split tree."""
         return sum(1 for _ in self.leaves())
 
     def leaves_by_containment(self) -> List[Tuple[QuadTreeNode, int]]:
@@ -916,7 +745,7 @@ class AugmentedQuadTree:
         return annotated
 
     def statistics(self) -> Dict[str, float]:
-        """Structural statistics used by the benchmark reports."""
+        """Structural statistics of the lazily split tree (see :meth:`leaves`)."""
         leaf_partial_sizes = []
         leaf_count = 0
         max_depth = 0

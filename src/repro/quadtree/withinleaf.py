@@ -671,6 +671,16 @@ class WithinLeafProcessor:
                 )
 
     @cached_property
+    def _row_extremes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-row ``(min, max)`` of the partial rows over the leaf box."""
+        return box_row_extremes(self._partial_A, self.lower, self.upper)
+
+    @cached_property
+    def _base_extremes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-row ``(min, max)`` of the simplex rows over the leaf box."""
+        return box_row_extremes(self._base_A, self.lower, self.upper)
+
+    @cached_property
     def _row_bounds(self) -> Tuple[List[bool], List[bool], List[bool], List[bool]]:
         """Per-row corner-extreme orientation bounds, for the DFS.
 
@@ -682,7 +692,7 @@ class WithinLeafProcessor:
         is True when every position from ``p`` on allows a 0 (a 1): the row
         check of a forced tail in one lookup.
         """
-        row_min, row_max = box_row_extremes(self._partial_A, self.lower, self.upper)
+        row_min, row_max = self._row_extremes
         row_margin = MIN_INTERIOR_RADIUS * self._partial_norms
         allowed0 = row_min < self._partial_b - row_margin
         allowed1 = row_max > self._partial_b + row_margin
@@ -1269,6 +1279,10 @@ class WithinLeafProcessor:
                 probes=probes,
                 probe_margins=probe_margins,
                 probe_valid=probe_valid,
+                norms=self._partial_norms,
+                row_extremes=self._row_extremes,
+                base_norms=self._base_norms,
+                base_extremes=self._base_extremes,
                 counters=self.counters,
             )
             for row, ones in enumerate(combos):

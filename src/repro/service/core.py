@@ -789,7 +789,6 @@ class MaxRankService:
             "skyline_nodes_warm": len(self.skyline_cache),
             "nodes_created": self.counters.nodes_created,
             "splits_performed": self.counters.splits_performed,
-            "build_tasks": self.counters.build_tasks,
             "build_wall_fraction": round(self.counters.build_wall_fraction, 6),
             "tree_build_seconds": round(self.tree_build_seconds, 6),
             "query_timeouts": self.query_timeouts,

@@ -84,7 +84,9 @@ class CostCounters:
         on worker processes and their counters are merged back.
     leaves_processed / leaves_pruned:
         Quad-tree leaves that underwent within-leaf processing vs. leaves
-        pruned by the |F_l| bound.
+        pruned by the |F_l| bound.  The tree splits on demand, so the pruned
+        leaves are those of the lazily split tree: a pruned subtree that
+        was never split counts as one leaf.
     cache_hits / cache_misses:
         Service-layer result-cache outcomes (:mod:`repro.service`): queries
         answered from the LRU result cache vs. queries that had to be
@@ -99,16 +101,9 @@ class CostCounters:
         warm); a service-layer key like ``cache_hits``.
     nodes_created / splits_performed:
         Quad-tree construction volume: nodes materialised and split events
-        executed, charged exactly once per node/event no matter which
-        process (serial cascade, frontier expansion, or pool worker) built
-        the subtree — both are structure properties of the finished tree,
-        so they are serial/parallel-invariant and participate in the
-        differential equivalence checks.
-    build_tasks:
-        Subtree construction units dispatched through the execution engine
-        by a parallel cold build (:class:`repro.quadtree.build.SubtreeBuildTask`).
-        Zero for serial builds, and dependent on the jobs count — *not*
-        engine-invariant, like ``worker_retries``.
+        executed.  Leaves split when the scan reaches them, always in the
+        query's own process, so both are executor-invariant and participate
+        in the differential equivalence checks.
     worker_retries:
         Executor batches re-dispatched after a pool worker crashed
         (``BrokenProcessPool``): one per rebuild-and-retry round, not per
@@ -168,7 +163,6 @@ class CostCounters:
     iterations: int = 0
     nodes_created: int = 0
     splits_performed: int = 0
-    build_tasks: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     skyline_reused: int = 0
@@ -231,7 +225,10 @@ class CostCounters:
         """Share of the tracked wall clock spent building the quad-tree.
 
         ``time_quadtree_build / (build + skyline + within_leaf)`` — the
-        headline ratio of PERFORMANCE.md's construction section.  A derived
+        headline ratio of PERFORMANCE.md's construction section.  Build time
+        includes the leaf splits the scan makes on demand; those run inside
+        the ``within_leaf`` section too, so they count in both terms of the
+        denominator.  A derived
         *time* quantity, so deliberately a property and **not** part of
         :meth:`as_dict`: counter dictionaries must stay comparable across
         serial and parallel runs, and wall-clock shares are not.  Returns
@@ -275,7 +272,6 @@ class CostCounters:
             "iterations": self.iterations,
             "nodes_created": self.nodes_created,
             "splits_performed": self.splits_performed,
-            "build_tasks": self.build_tasks,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "skyline_reused": self.skyline_reused,
@@ -312,7 +308,6 @@ class CostCounters:
         self.iterations += other.iterations
         self.nodes_created += other.nodes_created
         self.splits_performed += other.splits_performed
-        self.build_tasks += other.build_tasks
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
         self.skyline_reused += other.skyline_reused

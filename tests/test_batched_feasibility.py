@@ -173,6 +173,12 @@ class TestBulkInsertEquivalence:
             sequential.insert(h)
         bulk = AugmentedQuadTree(2, split_threshold=4)
         bulk.insert_bulk(halfspaces)
+        for tree in (sequential, bulk):
+            # Leaves split when the scan reaches them: visit every priority.
+            priority = 0
+            while priority <= tree.max_bucket_priority():
+                tree.validated_bucket(priority)
+                priority += 1
 
         def signature(tree):
             return sorted(

@@ -1,32 +1,27 @@
-"""Parallel quad-tree construction: identity, cost policy, counters.
+"""On-demand quad-tree splitting: equivalence with eager splitting, counters.
 
-The parallel build contract is *node-for-node identity*: a tree built by
-shipping frontier subtrees to a process pool must be indistinguishable from
-the serially built one — same node sequence numbers, same boxes, same
-containment/partial sets, same scan-index buckets in the same order — so
-every downstream scan, prune and within-leaf pass behaves identically.
-These tests walk both trees and compare everything; the only tolerated
-difference is the ``build_tasks`` counter (0 serial, positive parallel).
+The tree splits a leaf only when the best-first scan reaches its priority
+(:meth:`AugmentedQuadTree.validated_bucket`).  The contract is that every
+leaf the scan is handed is the leaf an eager split-on-insert cascade would
+have produced — same box, same partial ids in the same order, same
+``|F_l|`` — so every downstream prune and within-leaf pass behaves
+identically.  These tests write that eager cascade out as a reference and
+compare against it, under both split policies, and check that the scan
+leaves the subtrees it never reaches unsplit.
 """
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pytest
 
-from repro import CostCounters, generate, maxrank
+from repro import CostCounters, generate
 from repro.core.aa import aa_maxrank
-from repro.engine.executors import (
-    ProcessPoolExecutor,
-    SerialExecutor,
-    make_executor,
-)
+from repro.engine.executors import ProcessPoolExecutor
 from repro.experiments.reporting import construction_summary
 from repro.geometry import Halfspace
 from repro.quadtree import AugmentedQuadTree
-from repro.quadtree.build import SubtreeBuildTask, build_subtree
+from repro.quadtree.build import COST_EVAL_FLOOR, corner_masks, cost_should_split
 from repro.service.core import MaxRankService
 
 
@@ -41,186 +36,213 @@ def random_halfspaces(count: int, dim: int, seed: int) -> list:
     return result
 
 
-def structure_dump(tree: AugmentedQuadTree):
-    """Everything structural, in deterministic traversal order."""
-    nodes = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        nodes.append(
-            (
-                node.seq,
-                node.depth,
-                node.lower.tobytes(),
-                node.upper.tobytes(),
-                tuple(node.containment),
-                tuple(node.partial),
-                node.children is None,
-            )
+def eager_reference_leaves(tree: AugmentedQuadTree) -> dict:
+    """Leaves of the split-on-insert cascade over ``tree``'s half-spaces.
+
+    ``tree`` must be unsplit (inserted into, never scanned).  Returns
+    ``{(lower bytes, upper bytes): (partial ids, |F_l|)}``: every leaf the
+    policy wants split is split, recursively, with the tree's own corner
+    extreme arithmetic and split policy.
+    """
+    Apos, Aneg, btol = tree._coef_sign_split()
+    masks = corner_masks(tree.dim)
+
+    def should_split(lower, upper, depth, rows):
+        if depth >= tree.max_depth:
+            return False
+        if tree.split_policy == "static":
+            return rows.size > tree.split_threshold
+        return rows.size > COST_EVAL_FLOOR and cost_should_split(
+            lower, upper, Apos[rows], Aneg[rows], btol[rows], masks
         )
-        if node.children is not None:
-            stack.extend(reversed(node.children))
-    buckets = [
-        tuple(entry.seq for entry in bucket) for bucket in tree._buckets
-    ]
-    return {
-        "nodes": nodes,
-        "buckets": buckets,
-        "node_seq": tree._node_seq,
-        "live_leaves": tree._live_leaves,
-    }
+
+    root = tree.root
+    assert root.is_leaf
+    leaves = {}
+    stack = [(root.lower, root.upper, 0, np.asarray(root.partial, dtype=np.intp),
+              len(root.containment))]
+    while stack:
+        lower, upper, depth, rows, full = stack.pop()
+        if not should_split(lower, upper, depth, rows):
+            leaves[(lower.tobytes(), upper.tobytes())] = (tuple(rows.tolist()), full)
+            continue
+        centre = (lower + upper) / 2.0
+        child_lowers = np.where(masks, centre, lower)
+        child_uppers = np.where(masks, upper, centre)
+        inside = child_lowers.sum(axis=1) < 1.0
+        child_lowers, child_uppers = child_lowers[inside], child_uppers[inside]
+        min_vals = Apos[rows] @ child_lowers.T + Aneg[rows] @ child_uppers.T
+        max_vals = Apos[rows] @ child_uppers.T + Aneg[rows] @ child_lowers.T
+        b = btol[rows][:, None]
+        contains = min_vals > b
+        overlaps = ~(contains | (max_vals <= b))
+        for j in range(child_lowers.shape[0]):
+            stack.append((child_lowers[j], child_uppers[j], depth + 1,
+                          rows[overlaps[:, j]], full + int(contains[:, j].sum())))
+    return leaves
 
 
-def build_tree(halfspaces, *, executor=None, split_policy="static",
-               max_depth=3, counters=None):
+def scanned_leaves(tree: AugmentedQuadTree, last_priority=None) -> list:
+    """Every leaf ``validated_bucket`` hands out, priority by priority."""
+    handed = []
+    priority = 0
+    while priority <= tree.max_bucket_priority():
+        if last_priority is not None and priority > last_priority:
+            break
+        handed.extend((priority, leaf) for leaf in tree.validated_bucket(priority))
+        priority += 1
+    return handed
+
+
+def build_tree(halfspaces, *, split_policy="static", max_depth=3, counters=None):
     tree = AugmentedQuadTree(
         3, max_depth=max_depth, split_policy=split_policy, counters=counters
     )
-    tree.parallel_min_rows = 8  # the test workloads are far below the gate
-    tree.insert_bulk(halfspaces, executor=executor)
+    tree.insert_bulk(halfspaces)
     return tree
 
 
-class TestParallelBuildIdentity:
+class EagerQuadTree(AugmentedQuadTree):
+    """Split-on-insert reference: every over-policy leaf splits at insert.
+
+    Like the eager cascade, it reports a split leaf and its children to
+    the scan caches as dirty; ``validated_bucket`` then finds nothing left
+    to split.
+    """
+
+    def insert_bulk(self, halfspaces):
+        ids = super().insert_bulk(halfspaces)
+        stack = [(leaf, leaf.full_count()) for leaf in self.leaves()]
+        while stack:
+            leaf, priority = stack.pop()
+            if not self._should_split(leaf):
+                continue
+            if self._track_dirty:
+                self._dirty_leaves.add(id(leaf))
+            self._split_one(leaf, priority)
+            for child in leaf.children:
+                if self._track_dirty and child.partial:
+                    self._dirty_leaves.add(id(child))
+                stack.append((child, priority + len(child.containment)))
+        return ids
+
+
+class TestOnDemandSplitting:
     @pytest.mark.parametrize("split_policy", ["static", "cost"])
-    def test_pool_build_is_node_for_node_identical(self, split_policy):
+    @pytest.mark.parametrize("seed", [17, 23, 41])
+    def test_scanned_leaves_equal_the_eager_reference(self, split_policy, seed):
+        halfspaces = random_halfspaces(300 if split_policy == "static" else 150,
+                                       3, seed=seed)
+        reference = eager_reference_leaves(
+            build_tree(halfspaces, split_policy=split_policy)
+        )
+        assert len(reference) > 1
+        tree = build_tree(halfspaces, split_policy=split_policy)
+        assert tree.root.is_leaf, "an insert split the tree"
+        handed = scanned_leaves(tree)
+        seen = set()
+        for priority, leaf in handed:
+            key = (leaf.lower.tobytes(), leaf.upper.tobytes())
+            assert key in reference
+            partial, full = reference[key]
+            assert tuple(leaf.partial) == partial
+            assert leaf.full_count() == full == priority
+            seen.add(key)
+        # Scanning every priority reaches every leaf, each exactly once.
+        assert len(handed) == len(seen) == len(reference)
+        assert tree.leaf_count() == len(reference)
+
+    def test_interleaved_inserts_and_scans_equal_the_eager_reference(self):
+        """Leaves split before later rows arrive still end up as the eager
+        leaves: a partial set depends on the box, not on arrival order."""
+        halfspaces = random_halfspaces(300, 3, seed=29)
+        reference = eager_reference_leaves(build_tree(halfspaces))
+        tree = build_tree(halfspaces[:150])
+        scanned_leaves(tree, last_priority=tree.root.full_count() + 2)
+        assert not tree.root.is_leaf
+        tree.insert_bulk(halfspaces[150:])
+        for priority, leaf in scanned_leaves(tree):
+            partial, full = reference[(leaf.lower.tobytes(), leaf.upper.tobytes())]
+            assert tuple(leaf.partial) == partial
+            assert leaf.full_count() == full == priority
+
+    def test_unreached_priorities_are_never_split(self):
+        counters = CostCounters()
         halfspaces = random_halfspaces(300, 3, seed=17)
-        serial_counters = CostCounters()
-        serial = build_tree(
-            halfspaces, split_policy=split_policy, counters=serial_counters
-        )
-        pool_counters = CostCounters()
-        executor = make_executor(2)
-        try:
-            pool = build_tree(
-                halfspaces,
-                executor=executor,
-                split_policy=split_policy,
-                counters=pool_counters,
-            )
-        finally:
-            executor.close()
-        assert pool_counters.build_tasks > 0, "parallel path never engaged"
-        assert serial_counters.build_tasks == 0
-        assert structure_dump(pool) == structure_dump(serial)
-        assert pool_counters.nodes_created == serial_counters.nodes_created
-        assert pool_counters.splits_performed == serial_counters.splits_performed
+        reference = eager_reference_leaves(build_tree(halfspaces))
+        tree = build_tree(halfspaces, counters=counters)
+        last = tree.root.full_count() + 1
+        scanned_leaves(tree, last_priority=last)
+        internal = []
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                internal.append(node)
+                stack.extend(node.children)
+        assert internal, "the scanned priorities split nothing"
+        assert all(node.full_count() <= last for node in internal)
+        assert any(
+            tree._should_split(leaf) for leaf in tree.leaves()
+            if leaf.full_count() > last
+        ), "no unreached leaf is over policy: the check is vacuous"
+        assert counters.splits_performed == len(internal)
+        assert tree.leaf_count() < len(reference)
 
-    def test_parallel_gate_leaves_small_inserts_serial(self):
-        halfspaces = random_halfspaces(40, 3, seed=5)
-        counters = CostCounters()
-        tree = AugmentedQuadTree(3, max_depth=3, counters=counters)
-        executor = make_executor(2)
-        try:
-            tree.insert_bulk(halfspaces, executor=executor)
-        finally:
-            executor.close()
-        # 40 rows < PARALLEL_MIN_ROWS: the build must not pay pool overhead.
-        assert counters.build_tasks == 0
+    def test_aa_on_a_pool_matches_serial_counters(self):
+        dataset = generate("IND", 150, 4, seed=3)
 
-    @pytest.mark.parametrize("executor", [SerialExecutor(), ProcessPoolExecutor(1)])
-    def test_single_worker_executors_build_serially(self, executor):
-        counters = CostCounters()
-        build_tree(random_halfspaces(300, 3, seed=17), executor=executor,
-                   counters=counters)
-        assert counters.build_tasks == 0
-
-    def test_end_to_end_aa_parallel_build_matches_serial(self, monkeypatch):
-        dataset = generate("IND", 300, 4, seed=0)
-
-        def fingerprint(executor):
+        def run(executor):
             counters = CostCounters()
-            result = aa_maxrank(dataset, 7, counters=counters, executor=executor)
-            dump = counters.as_dict()
+            result = aa_maxrank(dataset, 5, counters=counters, executor=executor)
             return (
-                result.k_star,
-                [r.cell_order for r in result.regions],
-                [r.representative_query().tobytes() for r in result.regions],
-                {k: v for k, v in dump.items()
-                 if not k.startswith("time_") and k != "build_tasks"},
-                dump["build_tasks"],
+                [(r.cell_order, r.representative_query().tobytes())
+                 for r in result.regions],
+                {k: v for k, v in counters.as_dict().items()
+                 if not k.startswith("time_")},
             )
 
-        serial = fingerprint(None)
-        monkeypatch.setattr("repro.quadtree.quadtree.PARALLEL_MIN_ROWS", 8)
-        executor = make_executor(2)
-        try:
-            parallel = fingerprint(executor)
-        finally:
-            executor.close()
-        assert parallel[:4] == serial[:4]
-        assert serial[4] == 0 and parallel[4] > 0
+        serial = run(None)
+        with ProcessPoolExecutor(2) as pool:
+            pooled = run(pool)
+        assert serial[1]["splits_performed"] > 0
+        assert pooled == serial
 
+    def test_multi_iteration_aa_does_the_eager_work(self, monkeypatch):
+        """Scan-time splits must not report their children dirty: the next
+        AA iteration would evict the children's fresh cache entries and
+        process those leaves twice."""
+        dataset = generate("IND", 200, 4, seed=5)
+        focal = 40
 
-class TestSubtreeBuildTask:
-    def make_task(self, split_policy="static"):
-        rng = np.random.default_rng(3)
-        m = 60
-        return SubtreeBuildTask(
-            lower=np.zeros(3),
-            upper=np.full(3, 0.5),
-            depth=1,
-            pending_ids=np.arange(100, 100 + m),
-            coefficients=rng.normal(size=(m, 3)),
-            offsets_tol=rng.uniform(-0.3, 0.4, size=m),
-            split_threshold=10,
-            max_depth=4,
-            split_policy=split_policy,
+        def run():
+            counters = CostCounters()
+            result = aa_maxrank(dataset, focal, counters=counters)
+            return result, counters
+
+        lazy, lazy_counters = run()
+        monkeypatch.setattr("repro.core.aa.AugmentedQuadTree", EagerQuadTree)
+        eager, eager_counters = run()
+        assert lazy_counters.iterations >= 2
+        assert lazy_counters.splits_performed < eager_counters.splits_performed
+        for name in ("leaves_processed", "candidates_generated", "lp_calls"):
+            assert getattr(lazy_counters, name) == getattr(eager_counters, name), name
+        assert lazy.k_star == eager.k_star
+        assert sorted(r.cell_order for r in lazy.regions) == sorted(
+            r.cell_order for r in eager.regions
         )
-
-    @pytest.mark.parametrize("split_policy", ["static", "cost"])
-    def test_pickle_roundtrip_builds_identical_subtree(self, split_policy):
-        task = self.make_task(split_policy)
-        direct = build_subtree(task)
-        shipped = pickle.loads(pickle.dumps(task)).run()
-        assert shipped.nodes_created == direct.nodes_created
-        assert shipped.splits_performed == direct.splits_performed
-        for field in ("lowers", "uppers", "events", "containment_flat",
-                      "containment_offsets", "partial_flat", "partial_offsets"):
-            assert np.array_equal(getattr(shipped, field), getattr(direct, field))
-
-    def test_result_ids_are_original_tree_ids(self):
-        result = build_subtree(self.make_task())
-        ids = np.concatenate([result.containment_flat, result.partial_flat])
-        assert ids.size > 0
-        assert ids.min() >= 100 and ids.max() < 160
-
-
-class TestCostPolicyBookkeeping:
-    def test_cost_built_tree_has_exact_sets(self):
-        """The dry-run child classification inside the cost model must agree
-        with the actual redistribution: every leaf's containment/partial sets
-        stay exact."""
-        from repro.geometry import BoxRelation
-
-        halfspaces = random_halfspaces(150, 3, seed=23)
-        tree = AugmentedQuadTree(3, max_depth=3, split_policy="cost")
-        tree.insert_bulk(halfspaces)
-        assert tree.leaf_count() > 1
-        for leaf in tree.leaves():
-            full = leaf.full_ids()
-            partial = set(leaf.partial)
-            for hid, h in tree.halfspaces.items():
-                relation = h.relation_to_box(leaf.lower, leaf.upper)
-                if relation is BoxRelation.CONTAINS:
-                    assert hid in full and hid not in partial
-                elif relation is BoxRelation.OVERLAPS:
-                    assert hid in partial and hid not in full
-                else:
-                    assert hid not in full and hid not in partial
 
 
 class TestConstructionCounters:
     def test_merge_sums_construction_counters(self):
         a, b = CostCounters(), CostCounters()
-        a.nodes_created, a.splits_performed, a.build_tasks = 8, 1, 2
-        b.nodes_created, b.splits_performed, b.build_tasks = 16, 2, 3
+        a.nodes_created, a.splits_performed = 8, 1
+        b.nodes_created, b.splits_performed = 16, 2
         a.merge(b)
-        assert (a.nodes_created, a.splits_performed, a.build_tasks) == (24, 3, 5)
+        assert (a.nodes_created, a.splits_performed) == (24, 3)
         dump = a.as_dict()
         assert dump["nodes_created"] == 24
         assert dump["splits_performed"] == 3
-        assert dump["build_tasks"] == 5
 
     def test_build_wall_fraction(self):
         counters = CostCounters()
@@ -235,14 +257,12 @@ class TestConstructionCounters:
             "halfspaces_inserted": 100,
             "nodes_created": 250,
             "splits_performed": 31,
-            "build_tasks": 4,
             "time_quadtree_build": 1.0,
             "time_skyline": 0.5,
             "time_within_leaf": 2.5,
         })
         assert summary["nodes_per_halfspace"] == pytest.approx(2.5)
         assert summary["build_wall_fraction"] == pytest.approx(0.25)
-        assert summary["build_tasks"] == 4
 
     def test_service_stats_expose_construction(self):
         service = MaxRankService(generate("IND", 60, 3, seed=2))
@@ -251,8 +271,7 @@ class TestConstructionCounters:
             stats = service.stats()
         finally:
             service.close()
-        for key in ("nodes_created", "splits_performed", "build_tasks",
-                    "build_wall_fraction"):
+        for key in ("nodes_created", "splits_performed", "build_wall_fraction"):
             assert key in stats
         assert stats["nodes_created"] >= 0
         assert 0.0 <= stats["build_wall_fraction"] <= 1.0

@@ -108,7 +108,7 @@ def _pool_fingerprint(result, counters):
         [(r.cell_order, r.outscored_by, r.representative_query().tobytes())
          for r in result.regions],
         {name: value for name, value in counters.as_dict().items()
-         if not name.startswith("time_") and name != "build_tasks"},
+         if not name.startswith("time_")},
     )
 
 

@@ -37,13 +37,7 @@ from repro.quadtree.withinleaf import (
 
 
 def _fingerprint(result, counters):
-    """Everything that must match bit-for-bit across executors.
-
-    ``build_tasks`` is the one deliberate exclusion: it counts subtree units
-    shipped to pool workers during parallel construction, so it is 0 serial
-    and positive under a pool — the *tree* the tasks build is identical
-    (``nodes_created`` / ``splits_performed`` stay in the fingerprint).
-    """
+    """Everything that must match bit-for-bit across executors."""
     return {
         "k_star": result.k_star,
         "region_count": result.region_count,
@@ -52,7 +46,7 @@ def _fingerprint(result, counters):
         "counters": {
             name: value
             for name, value in counters.as_dict().items()
-            if not name.startswith("time_") and name != "build_tasks"
+            if not name.startswith("time_")
         },
     }
 

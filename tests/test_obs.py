@@ -280,6 +280,25 @@ class TestTracedEngineRun:
         assert strip(counters_a.as_dict()) == strip(counters_b.as_dict())
         assert result_a.k_star == result_b.k_star
 
+    def test_scan_time_splits_span_under_their_level(self):
+        """Leaves split when the scan reaches them, so a d=4 AA query's
+        split time is a ``quadtree_build`` span under a ``collect_level``."""
+        dataset = generate("IND", 150, 4, seed=3)
+        tracer = Tracer(trace_id="fixed")
+        counters = CostCounters()
+        counters._tracer = tracer
+        with tracer.span("request"):
+            aa_maxrank(dataset, 5, counters=counters)
+        counters._tracer = None
+        assert counters.splits_performed > 0
+        by_id = {r.span_id: r for r in tracer.records()}
+        nested = [r for r in by_id.values() if r.name == "quadtree_build"
+                  and r.parent_id in by_id
+                  and by_id[r.parent_id].name == "collect_level"]
+        assert nested
+        # One span per validated_bucket call that splits, not one per split.
+        assert len(nested) < counters.splits_performed
+
     def test_serial_and_pool_traces_have_the_same_spans(self):
         """Both executors run the same leaf tasks, so a traced serial AA
         query records the same span tree — ``leaf_task`` spans included —

@@ -26,6 +26,16 @@ def random_halfspaces(count: int, dim: int, seed: int) -> list:
     return result
 
 
+def scan_all_priorities(tree: AugmentedQuadTree) -> list:
+    """Every leaf the best-first scan is handed when it visits every priority."""
+    handed = []
+    priority = 0
+    while priority <= tree.max_bucket_priority():
+        handed.extend(tree.validated_bucket(priority))
+        priority += 1
+    return handed
+
+
 class TestQuadTreeStructure:
     def test_requires_dim_at_least_two(self):
         with pytest.raises(GeometryError):
@@ -49,18 +59,26 @@ class TestQuadTreeStructure:
         assert counters.halfspaces_inserted == 5
 
     def test_split_triggered_by_threshold(self):
+        """Inserts only classify; the leaves the scan is handed are split
+        down to the threshold (or the depth cap)."""
         tree = AugmentedQuadTree(2, split_threshold=3)
         for h in random_halfspaces(12, 2, seed=2):
             tree.insert(h)
-        assert tree.leaf_count() > 1
-        assert all(leaf.depth <= tree.max_depth for leaf in tree.leaves())
+        assert tree.leaf_count() == 1
+        handed = scan_all_priorities(tree)
+        assert tree.leaf_count() == len(handed) > 1
+        for leaf in handed:
+            assert leaf.depth <= tree.max_depth
+            assert len(leaf.partial) <= 3 or leaf.depth == tree.max_depth
 
     def test_leaves_tile_the_box(self):
         """Leaf boxes must not overlap and must cover the permissible simplex."""
         tree = AugmentedQuadTree(2, split_threshold=3)
         for h in random_halfspaces(15, 2, seed=3):
             tree.insert(h)
+        scan_all_priorities(tree)
         leaves = list(tree.leaves())
+        assert len(leaves) > 1
         rng = np.random.default_rng(0)
         for _ in range(200):
             point = rng.uniform(0, 1, size=2)
@@ -113,8 +131,12 @@ class TestConstructionValidation:
         tree = AugmentedQuadTree(2, split_threshold=2, max_depth=4)
         tree.insert_bulk(random_halfspaces(25, 2, seed=6))
         assert len(tree) == 25
-        assert tree.leaf_count() > 1
-        assert all(leaf.depth <= 4 for leaf in tree.leaves())
+        handed = scan_all_priorities(tree)
+        assert len(handed) > 1
+        assert any(leaf.depth == 4 for leaf in handed)
+        for leaf in handed:
+            assert leaf.depth <= 4
+            assert len(leaf.partial) <= 2 or leaf.depth == 4
 
     def test_max_depth_zero_keeps_one_fat_leaf(self):
         """max_depth=0 is legal: the root never splits and holds every
@@ -143,6 +165,7 @@ class TestQuadTreeBookkeeping:
         halfspaces = random_halfspaces(count, 2, seed=seed)
         for h in halfspaces:
             tree.insert(h)
+        scan_all_priorities(tree)
         for leaf in tree.leaves():
             full = leaf.full_ids()
             partial = set(leaf.partial)
@@ -163,6 +186,7 @@ class TestQuadTreeBookkeeping:
         tree = AugmentedQuadTree(3, split_threshold=4)
         for h in random_halfspaces(10, 3, seed=seed):
             tree.insert(h)
+        scan_all_priorities(tree)
         for leaf, count in tree.leaves_by_containment():
             assert count == len(leaf.full_ids())
             assert count == leaf.full_count()
@@ -171,6 +195,7 @@ class TestQuadTreeBookkeeping:
         tree = AugmentedQuadTree(2, split_threshold=3)
         for h in random_halfspaces(14, 2, seed=9):
             tree.insert(h)
+        scan_all_priorities(tree)
         counts = [count for _, count in tree.leaves_by_containment()]
         assert counts == sorted(counts)
 

@@ -7,8 +7,8 @@ against within-leaf funnel work.  Its constants are ratios of *measured*
 phase costs, and this tool produces those measurements: for each profiled
 workload it runs the full AA query once per policy and prints
 
-* ``build`` — seconds inside the quad-tree split cascade
-  (``time_quadtree_build``),
+* ``build`` — seconds inside quad-tree insertion and the splits the scan
+  makes on demand (``time_quadtree_build``),
 * ``skyline`` — seconds inside the BBS skyline passes,
 * ``leaf`` — seconds inside within-leaf processing (scan + funnel),
 * ``build%`` — the :attr:`~repro.stats.CostCounters.build_wall_fraction`
@@ -110,7 +110,6 @@ def profile_one(
         "build%": round(100.0 * counters.build_wall_fraction, 1),
         "nodes": counters.nodes_created,
         "splits": counters.splits_performed,
-        "tasks": counters.build_tasks,
         "lp": counters.lp_calls,
     }
 
