@@ -859,6 +859,32 @@ def print_funnel_comparison(
     print(format_table(rows, title="Screen funnel per workload (candidates vs committed baseline)"))
 
 
+def updated_baseline(
+    baseline: Mapping[str, object],
+    results: Mapping[str, Dict[str, object]],
+    calibration: float,
+) -> Dict[str, object]:
+    """``baseline`` with ``results`` recorded as its ``current`` section.
+
+    A partial run (``--quick``, ``--family``) keeps the committed records of
+    the configs it did not run.  A record whose key is no longer a config
+    of :data:`FAMILIES` is dropped, and records of an older schema (they
+    carry other fields) are never merged.
+    """
+    configured = {config.key for family in FAMILIES for config in family.configs}
+    previous = (
+        baseline.get("current", {}).get("configs", {})
+        if baseline.get("schema") == SCHEMA else {}
+    )
+    merged = {key: entry for key, entry in previous.items() if key in configured}
+    merged.update(results)
+    return {
+        **baseline,
+        "schema": SCHEMA,
+        "current": {"calibration_s": round(calibration, 4), "configs": merged},
+    }
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--quick", action="store_true",
@@ -913,19 +939,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print("\ncompare: OK (within tolerance of committed baseline)")
 
     if args.update:
-        baseline = load_baseline() or {}
-        # Records of an older schema carry other fields; never merge them.
-        previous = (
-            baseline.get("current", {}).get("configs", {})
-            if baseline.get("schema") == SCHEMA else {}
-        )
-        merged = dict(previous)
-        merged.update(results)
-        baseline["schema"] = SCHEMA
-        baseline["current"] = {
-            "calibration_s": round(calibration, 4),
-            "configs": merged,
-        }
+        baseline = updated_baseline(load_baseline() or {}, results, calibration)
         with BASELINE_PATH.open("w") as handle:
             json.dump(baseline, handle, indent=2, sort_keys=True)
             handle.write("\n")

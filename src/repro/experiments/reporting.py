@@ -95,7 +95,8 @@ def screen_funnel(counters: Mapping[str, float]) -> Dict[str, float]:
     and derives the headline efficiency numbers of the within-leaf
     feasibility engine.  The funnel starts at candidate *generation*: the
     prefix-pruned DFS never materialises bit-strings that violate a pairwise
-    constraint or a per-row corner-extreme bound, so the entry count of the
+    constraint or fix a row orientation with no room in ``leaf box ∩
+    {Σx ≤ 1}`` (the per-row bound), so the entry count of the
     funnel is the number of candidates actually emitted, with the pruning
     volume visible as cut branches rather than discarded candidates.
 

@@ -47,6 +47,7 @@ __all__ = [
     "find_interior_point_arrays",
     "screen_cells_batch",
     "box_row_extremes",
+    "simplex_box_row_extremes",
     "MIN_INTERIOR_RADIUS",
     "ACCEPT_MARGIN_FACTOR",
 ]
@@ -221,6 +222,38 @@ def box_row_extremes(
     return row_min, row_max
 
 
+def simplex_box_row_extremes(
+    A: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row ``(min, max)`` of ``A @ x`` over ``{lower ≤ x ≤ upper, Σx ≤ 1}``.
+
+    The box cut by the simplex row of the reduced query space.  Each
+    extreme is a fractional knapsack in closed form: start at ``lower`` and
+    spend the budget ``1 − Σlower`` on the coordinates in decreasing order of
+    the coefficient gained per unit (the maximum buys the positive
+    coefficients, the minimum the negative ones), each up to its extent.
+    When the whole box lies under the simplex row (``Σupper ≤ 1``) these
+    are the :func:`box_row_extremes`, which are returned unchanged.  When
+    ``Σlower ≥ 1`` the region holds at most the corner ``lower`` and the
+    budget is zero: both extremes are ``A @ lower``.
+    """
+    if float(upper.sum()) <= 1.0:
+        return box_row_extremes(A, lower, upper)
+    extent = upper - lower
+    budget = max(0.0, 1.0 - float(lower.sum()))
+    base = A @ lower
+
+    def best_gain(coefficients: np.ndarray) -> np.ndarray:
+        gain = np.maximum(coefficients, 0.0)
+        order = np.argsort(-gain, axis=1, kind="stable")
+        spans = extent[order]
+        spent_before = np.cumsum(spans, axis=1) - spans
+        bought = np.clip(budget - spent_before, 0.0, spans)
+        return (np.take_along_axis(gain, order, axis=1) * bought).sum(axis=1)
+
+    return base - best_gain(-A), base + best_gain(A)
+
+
 def _safe_norms(A: np.ndarray) -> np.ndarray:
     """Euclidean row norms of ``A``, with zero norms replaced by 1."""
     norms = np.sqrt(np.einsum("ij,ij->i", A, A))
@@ -255,8 +288,10 @@ def screen_cells_batch(
     the box ``[lower, upper]`` and the fixed-orientation ``base`` rows.  The
     batches arrive from the prefix-pruned DFS generator of
     :mod:`repro.quadtree.withinleaf`, which already refuses row orientations
-    unsatisfiable anywhere in the box, so within a leaf the reject screen
-    below mainly guards degenerate boxes and base-infeasible leaves.
+    with no room in the box cut by the simplex row
+    (:func:`simplex_box_row_extremes`, a stronger bound than this screen's
+    box-only one), so within a leaf the reject screen below mainly guards
+    degenerate boxes and base-infeasible leaves.
 
     Two vectorised screens are applied:
 

@@ -19,8 +19,9 @@ Candidate generation is *prefix-pruned*: instead of enumerating all
 a depth-first search walks index prefixes of the sign vector and never
 extends a partial assignment that is already provably empty — because it
 matches a forbidden pairwise bit combination (consulted through per-position
-conflict bitmasks) or because some fixed-orientation row is unsatisfiable
-anywhere in the leaf box (the per-row corner-extreme bound).  Cutting a
+conflict bitmasks) or because some fixed-orientation row has no room in the
+leaf box cut by the simplex row ``Σx ≤ 1`` (the per-row bound,
+:func:`~repro.geometry.lp.simplex_box_row_extremes`).  Cutting a
 branch skips the entire subtree of candidates below it, so the number of
 bit-strings ever materialised tracks the *feasible frontier* of the
 arrangement rather than the combinatorial total (``prefixes_cut`` and
@@ -126,6 +127,7 @@ from ..geometry.lp import (
     box_row_extremes,
     find_interior_point_arrays,
     screen_cells_batch,
+    simplex_box_row_extremes,
 )
 from ..geometry.planar import PlanarArrangement
 from ..stats import CostCounters
@@ -272,11 +274,10 @@ class PairwiseConstraints:
     The analysis is LP-free: a two-constraint system over a box reduces to a
     closed-form fractional-knapsack maximisation
     (:func:`_pair_combo_feasible`), evaluated for all pairs and every
-    requested orientation in one call.  The test relaxes the
-    permissible-simplex cut (it considers the box alone), so it forbids a
-    subset of what an exact LP with the base constraints would — pruning
-    stays sound, it just occasionally lets a doomed candidate through to the
-    cell screens.
+    requested orientation in one call.  The test is still box-only: unlike
+    the DFS row bound it ignores the permissible-simplex cut, so it forbids
+    a subset of what an exact LP with the base constraints would — pruning
+    stays sound, it just lets some doomed pairs through to the cell screens.
 
     The verdicts are kept as per-position *conflict bitmasks*, one list per
     orientation: ``masks(a, b)[p]`` has bit ``q`` set when the pair
@@ -682,17 +683,22 @@ class WithinLeafProcessor:
 
     @cached_property
     def _row_bounds(self) -> Tuple[List[bool], List[bool], List[bool], List[bool]]:
-        """Per-row corner-extreme orientation bounds, for the DFS.
+        """Per-row orientation bounds over ``leaf box ∩ simplex``, for the DFS.
 
         ``(allowed0, allowed1, zeros_from, ones_from)``: ``allowedv[p]`` is
-        False when orienting row ``p`` as bit ``v`` is unsatisfiable anywhere
-        in the leaf box, which proves every partial assignment fixing that
-        orientation empty, so the DFS never expands it.  Mirrors the batch
-        reject screen's margin exactly.  ``zeros_from[p]`` (``ones_from[p]``)
-        is True when every position from ``p`` on allows a 0 (a 1): the row
-        check of a forced tail in one lookup.
+        False when orienting row ``p`` as bit ``v`` leaves no room in the
+        leaf box cut by the simplex row ``Σx ≤ 1``
+        (:func:`~repro.geometry.lp.simplex_box_row_extremes`), with the LP's
+        inscribed-radius margin.  That region relaxes the max-slack LP's
+        feasible set, so every partial assignment fixing such an
+        orientation is empty and the DFS never expands it.
+        ``zeros_from[p]`` (``ones_from[p]``) is True when every position
+        from ``p`` on allows a 0 (a 1): the row check of a forced tail in
+        one lookup.
         """
-        row_min, row_max = self._row_extremes
+        row_min, row_max = simplex_box_row_extremes(
+            self._partial_A, self.lower, self.upper
+        )
         row_margin = MIN_INTERIOR_RADIUS * self._partial_norms
         allowed0 = row_min < self._partial_b - row_margin
         allowed1 = row_max > self._partial_b + row_margin
@@ -973,8 +979,8 @@ class WithinLeafProcessor:
         Walks positions ``0 .. m-1`` assigning one bit per step; a branch is
         cut (``prefixes_cut``) as soon as the partial assignment matches a
         forbidden pairwise combination (two bitmask ANDs against the
-        conflict masks) or fixes a row orientation that is unsatisfiable
-        anywhere in the leaf box — the subtree of candidates below the cut
+        conflict masks) or fixes a row orientation with no room in the leaf
+        box cut by the simplex row — the subtree of candidates below the cut
         is never materialised.  Surviving complete assignments are emitted
         as chunks of one-position tuples, in the same lexicographic order as
         ``itertools.combinations`` (the 1-branch is explored first).

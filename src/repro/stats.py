@@ -48,8 +48,9 @@ class CostCounters:
         materialised (they are accounted by ``prefixes_cut`` instead).
     prefixes_cut:
         DFS branches cut during candidate generation because the partial
-        sign vector already violated a pairwise constraint or a per-row
-        corner-extreme bound.  Every cut skips an entire subtree of
+        sign vector already violated a pairwise constraint or fixed a row
+        orientation with no room in the leaf box cut by the simplex row
+        ``Σx ≤ 1`` (the per-row bound).  Every cut skips an entire subtree of
         candidate bit-strings, so this is *not* a candidate count — it is
         the number of pruning events.
     screen_accepts / screen_rejects:

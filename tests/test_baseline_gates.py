@@ -211,3 +211,21 @@ def test_committed_baseline_has_the_recorded_shape():
             next(k for k in FAMILY_FIELDS
                  if baseline.family_of(k) is baseline.family_of(key))
         ]), key
+
+
+def test_update_drops_records_of_deleted_configs():
+    kept, partial_run = "service/fig9/d=3", "fig9/d=4"
+    stale = "build/cold/d=4/n=50000"  # a config no longer in FAMILIES
+    old = dict(committed({
+        kept: synthetic(kept),
+        partial_run: synthetic(partial_run),
+        stale: synthetic("build/cold/d=4/n=4000"),
+    }), pre_pr={"configs": {}})
+    fresh = dict(synthetic(partial_run), wall_s=1.25)
+    updated = baseline.updated_baseline(old, {partial_run: fresh}, 0.5)
+    # A partial run merges over the configs that still exist.
+    assert updated["current"] == {
+        "calibration_s": 0.5, "configs": {kept: old["current"]["configs"][kept],
+                                          partial_run: fresh},
+    }
+    assert updated["pre_pr"] == old["pre_pr"] and updated["schema"] == baseline.SCHEMA

@@ -4,14 +4,15 @@ The DFS (:meth:`repro.quadtree.withinleaf.WithinLeafProcessor._dfs_chunks`)
 is a pure enumeration optimisation: it must emit exactly the candidate
 bit-strings that the old enumerate-then-filter pipeline would have passed to
 the screens — all ``C(m, w)`` combinations minus those violating a pairwise
-constraint or a per-row corner-extreme bound — in the same lexicographic
-order, while never materialising a forbidden subtree.  Reuse of conflict
-masks and of the surviving-prefix frontier across simulated AA re-scans must
-not change any result.
+constraint or a per-row bound over ``leaf box ∩ {Σx ≤ 1}`` — in the same
+lexicographic order, while never materialising a forbidden subtree.  Reuse
+of conflict masks and of the surviving-prefix frontier across simulated AA
+re-scans must not change any result.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro import CostCounters
 from repro.geometry import Halfspace
-from repro.geometry.lp import MIN_INTERIOR_RADIUS, box_row_extremes
+from repro.geometry.lp import MIN_INTERIOR_RADIUS
 from repro.quadtree import WithinLeafProcessor
 from repro.quadtree.withinleaf import PairwiseConstraints
 
@@ -37,16 +38,48 @@ def random_halfspaces(count: int, dim: int, seed: int):
     return result
 
 
+def _max_over_leaf(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
+    """``max c · x`` over ``{lower ≤ x ≤ upper, Σx ≤ 1}`` by HiGHS.
+
+    A box whose lower corner already sums to 1 or more is read at that
+    corner (``Σx ≤ Σlower``), as the bound defines it.
+    """
+    from scipy.optimize import linprog
+
+    result = linprog(-c, A_ub=np.ones((1, c.shape[0])), b_ub=[max(1.0, lower.sum())],
+                     bounds=list(zip(lower, upper)), method="highs")
+    assert result.status == 0
+    return -result.fun
+
+
+@lru_cache(maxsize=64)
+def _row_rule(rows: bytes, offsets: bytes, lower: bytes, upper: bytes):
+    """``(allowed0, allowed1)`` per row: the orientation's row clears the
+    inscribed-radius margin somewhere in the leaf box cut by the simplex
+    row, decided by one LP per row and orientation."""
+    lower, upper = np.frombuffer(lower), np.frombuffer(upper)
+    A = np.frombuffer(rows).reshape(-1, lower.shape[0])
+    allowed0, allowed1 = [], []
+    for a, offset in zip(A, np.frombuffer(offsets)):
+        margin = MIN_INTERIOR_RADIUS * np.linalg.norm(a)
+        allowed0.append(_max_over_leaf(-a, lower, upper) > -offset + margin)
+        allowed1.append(_max_over_leaf(a, lower, upper) > offset + margin)
+    return allowed0, allowed1
+
+
 def oracle_survivors(processor: WithinLeafProcessor, weight: int):
-    """Combinations surviving pairwise + per-row pruning, by brute force."""
+    """Combinations surviving pairwise + per-row pruning, by brute force.
+
+    The per-row rule is computed independently of the processor's bound
+    (:func:`_row_rule`, by LP).
+    """
     m = len(processor.partial)
-    A = processor._partial_A
-    b = processor._partial_b
-    norms = processor._partial_norms
-    row_min, row_max = box_row_extremes(A, processor.lower, processor.upper)
-    margin = MIN_INTERIOR_RADIUS * norms
-    allowed0 = row_min < b - margin
-    allowed1 = row_max > b + margin
+    allowed0, allowed1 = _row_rule(
+        np.array([h.coefficients for _, h in processor.partial]).tobytes(),
+        np.array([h.offset for _, h in processor.partial], dtype=float).tobytes(),
+        processor.lower.tobytes(),
+        processor.upper.tobytes(),
+    )
     pairwise = processor.pairwise_constraints
     survivors = []
     for ones in combinations(range(m), weight):
